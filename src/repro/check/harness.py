@@ -42,7 +42,7 @@ from ..sim import Simulator
 from .invariants import InvariantChecker
 from .reference import (
     allgather_reference, gather_reference, rank_payload, reduce_reference,
-    reduce_scatter_reference, scatter_reference,
+    scatter_reference,
 )
 
 __all__ = ["Case", "CaseResult", "COLLECTIVES", "run_case", "parse_case",
@@ -318,19 +318,25 @@ def _verify(case: Case, payloads: List[np.ndarray],
     elif coll == "gather_binomial":
         check(root, results[root], gather_reference(payloads), "gather")
     elif coll == "scatter_binomial":
+        blocks = block_partition(case.nbytes, case.P)
         for r, got in enumerate(results):
             want = scatter_reference(payloads[root], r, case.P)
-            off, n = block_partition(case.nbytes, case.P)[r]
+            off, n = blocks[r]
             check(r, got[off // 4:(off + n) // 4], want, "scatter")
     elif coll in ("allgather_ring", "nccl_allgather"):
         want = allgather_reference(payloads)
         for r, got in enumerate(results):
             check(r, got, want, "allgather")
     elif coll == "reduce_scatter_ring":
+        # The ring rotation leaves block (r+1) mod P fully reduced on
+        # rank r (``reduce_scatter_reference``); reduce all P payloads
+        # once per case, not once per rank.
+        full = reduce_reference(payloads)
+        blocks = block_partition(case.nbytes, case.P)
         for r, got in enumerate(results):
-            want = reduce_scatter_reference(payloads, r)
-            off, n = block_partition(case.nbytes, case.P)[(r + 1) % case.P]
-            check(r, got[off // 4:(off + n) // 4], want, "reduce_scatter")
+            off, n = blocks[(r + 1) % case.P]
+            lo, hi = off // 4, (off + n) // 4
+            check(r, got[lo:hi], full[lo:hi], "reduce_scatter")
     elif coll == "nccl_reduce_scatter":
         # Blocks are indexed by ring *position*: the rank at position i
         # ends holding fully-reduced block (i+1) mod P.  Recompute the

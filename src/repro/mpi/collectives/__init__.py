@@ -9,8 +9,8 @@ from .bcast import (
     bcast, bcast_binomial, bcast_flat, bcast_scatter_allgather, ibcast,
 )
 from .gather_scatter import (
-    allgather_ring, block_partition, gather_binomial, reduce_scatter_ring,
-    scatter_binomial,
+    allgather_ring, block_partition, block_plan, gather_binomial,
+    reduce_scatter_ring, scatter_binomial,
 )
 from .hierarchical import (
     HRConfig, hierarchical_reduce, hr_plan, parse_hr_config,
@@ -28,7 +28,7 @@ __all__ = [
     "apply_reduction", "coll_tags", "segments",
     "bcast", "bcast_binomial", "bcast_flat", "bcast_scatter_allgather",
     "ibcast",
-    "allgather_ring", "block_partition", "gather_binomial",
+    "allgather_ring", "block_partition", "block_plan", "gather_binomial",
     "reduce_scatter_ring", "scatter_binomial",
     "HRConfig", "hierarchical_reduce", "hr_plan", "parse_hr_config",
     "ireduce", "reduce", "reduce_binomial", "reduce_chain",

@@ -15,6 +15,7 @@ from ...sim import Event
 from ..communicator import RankContext
 from .base import apply_reduction, coll_tags, local_accumulate_copy, traced
 from .bcast import bcast_binomial
+from .gather_scatter import block_plan
 from .reduce import reduce_binomial
 
 __all__ = ["allreduce_ring", "allreduce_reduce_bcast", "allreduce"]
@@ -26,9 +27,13 @@ def allreduce_ring(ctx: RankContext, sendbuf: DeviceBuffer,
                    ) -> Generator[Event, Any, None]:
     """Ring allreduce: P-1 reduce-scatter steps + P-1 allgather steps.
 
-    The buffer is cut into P near-equal element-aligned blocks; block i
-    accumulates around the ring and ends fully reduced on rank (i+1) mod
-    P, then circulates again to all ranks.
+    The buffer is cut into the shared :func:`block_plan` partition: P
+    near-equal element-aligned blocks tiling ``[0, nbytes)`` exactly,
+    the last non-empty block owning any ``nbytes % 4`` tail (so byte
+    payloads of any length and CNTK's 1-bit wire buffers move in
+    full).  Block i accumulates around the ring and ends fully reduced
+    on rank (i+1) mod P, then circulates again to all ranks.  Each rank
+    walks only the steps that move a non-empty block.
 
     Both phases draw from one audited reservation: reduce-scatter step s
     uses ``tags.tag(s)``, allgather step s uses ``tags.tag((P-1) + s)``.
@@ -43,12 +48,8 @@ def allreduce_ring(ctx: RankContext, sendbuf: DeviceBuffer,
             yield from local_accumulate_copy(ctx, recvbuf, sendbuf)
         return
 
-    nbytes = sendbuf.nbytes
-    # Element-aligned block partition (4-byte float32 grain).
-    grain = 4
-    per = (nbytes // grain + P - 1) // P * grain
-    blocks = [(i * per, max(0, min(per, nbytes - i * per))) for i in range(P)]
-
+    plan = block_plan(sendbuf.nbytes, P)
+    blocks = plan.blocks
     right = (me + 1) % P
     left = (me - 1) % P
     scratch = ctx.scratch_like(sendbuf, "ring.rx")
@@ -56,9 +57,7 @@ def allreduce_ring(ctx: RankContext, sendbuf: DeviceBuffer,
         yield from local_accumulate_copy(ctx, recvbuf, sendbuf)
         # Reduce-scatter: at step s, send block (me-s) and receive+reduce
         # block (me-s-1).
-        for s in range(P - 1):
-            sb = (me - s) % P
-            rb = (me - s - 1) % P
+        for s, sb, rb in plan.ring_steps(me):
             soff, slen = blocks[sb]
             roff, rlen = blocks[rb]
             sreq = ctx.isend(right, recvbuf, tag=tags.tag(s),
@@ -70,10 +69,9 @@ def allreduce_ring(ctx: RankContext, sendbuf: DeviceBuffer,
                                            offset=roff)
             if sreq is not None:
                 yield sreq.wait()
-        # Allgather: circulate the fully-reduced blocks.
-        for s in range(P - 1):
-            sb = (me + 1 - s) % P
-            rb = (me - s) % P
+        # Allgather: circulate the fully-reduced blocks (send block
+        # me+1-s, receive block me-s).
+        for s, sb, rb in plan.ring_steps(me, shift=1):
             soff, slen = blocks[sb]
             roff, rlen = blocks[rb]
             sreq = ctx.isend(right, recvbuf, tag=tags.tag((P - 1) + s),

@@ -181,16 +181,19 @@ def _op_scope(rec, op_name: str, gen: Generator
         rec.op_pop(proc)
 
 
-def segments(nbytes: int, segment: int) -> List[Tuple[int, int]]:
-    """Split ``nbytes`` into (offset, length) segments of at most
-    ``segment`` bytes — element-aligned as long as ``segment`` is."""
+def segments(nbytes: int, segment: int, *, offset: int = 0,
+             ) -> List[Tuple[int, int]]:
+    """Split the byte range ``[offset, offset + nbytes)`` into
+    (offset, length) segments of at most ``segment`` bytes —
+    element-aligned as long as ``segment`` and ``offset`` are.  An empty
+    range is one zero-length segment."""
     if nbytes <= 0:
-        return [(0, nbytes)] if nbytes == 0 else []
+        return [(offset, nbytes)] if nbytes == 0 else []
     segment = max(1, segment)
     out = []
-    off = 0
-    while off < nbytes:
-        out.append((off, min(segment, nbytes - off)))
+    off, end = offset, offset + nbytes
+    while off < end:
+        out.append((off, min(segment, end - off)))
         off += segment
     return out
 

@@ -7,36 +7,108 @@ in :mod:`.bcast`, which real MVAPICH2 selects for large messages.
 
 Block partitioning convention: a buffer of B bytes over P ranks is cut
 into P element-aligned blocks (4-byte grain); rank i owns block i.
+
+Schedule plans: the partition and the ring step lists over it are a
+pure function of (B, P), so :func:`block_plan` builds each one once and
+shares it between every rank and every call.  A ring rank then walks
+only the steps that move a non-empty block, instead of all 2(P-1) —
+which is what makes the P > 513 boundary rings cheap on the host.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+import functools
+from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from ...cuda import DeviceBuffer
 from ...sim import Event
 from ..communicator import RankContext
 from .base import apply_reduction, as_tag_block, coll_tags, traced
 
-__all__ = ["block_partition", "scatter_binomial", "gather_binomial",
-           "allgather_ring", "reduce_scatter_ring"]
+__all__ = ["BlockPlan", "block_plan", "block_partition", "scatter_binomial",
+           "gather_binomial", "allgather_ring", "reduce_scatter_ring"]
 
 GRAIN = 4  # float32 element alignment
+#: Entries kept by each schedule-plan cache (the (nbytes, P) plans here
+#: and the NCCL chunk lists).  A conformance pass needs about sixty, a
+#: training run one or two.
+PLAN_CACHE_SIZE = 256
 
 
-def block_partition(nbytes: int, P: int) -> List[Tuple[int, int]]:
+class BlockPlan:
+    """The block partition of an ``nbytes`` buffer over ``P`` ranks and
+    the ring rotations over it.
+
+    Blocks tile ``[0, nbytes)`` exactly: the aligned part is cut into
+    ``GRAIN``-aligned blocks of equal length, the first :attr:`live`
+    blocks are non-empty, and the last non-empty block also owns the
+    ``nbytes % GRAIN`` tail (block 0 does when ``nbytes < GRAIN``).
+    Empty blocks sit at offset ``nbytes``.  Instances are shared through
+    :func:`block_plan` and must not be mutated.
+    """
+
+    __slots__ = ("nbytes", "P", "blocks", "live", "longest")
+
+    def __init__(self, nbytes: int, P: int):
+        if P < 1:
+            raise ValueError("P must be >= 1")
+        if nbytes < 0:
+            raise ValueError("nbytes must be >= 0")
+        aligned = nbytes - nbytes % GRAIN
+        per = (aligned // GRAIN + P - 1) // P * GRAIN
+        live = -(-aligned // per) if per else min(nbytes, 1)
+        bounds = [i * per for i in range(live)] + [nbytes]
+        self.nbytes = nbytes
+        self.P = P
+        self.live = live
+        self.blocks: Tuple[Tuple[int, int], ...] = tuple(
+            [(bounds[i], bounds[i + 1] - bounds[i]) for i in range(live)]
+            + [(nbytes, 0)] * (P - live))
+        self.longest = max(n for _, n in self.blocks)
+
+    def ring_steps(self, pos: int, shift: int = 0,
+                   order: Optional[Sequence[int]] = None,
+                   ) -> List[Tuple[int, int, int]]:
+        """``(s, send_block, recv_block)`` for every step ``s`` of a
+        (P-1)-step ring rotation, seen from ring position ``pos``, that
+        sends or receives a non-empty block; ascending ``s``.
+
+        At step ``s`` position ``pos`` sends the block held at position
+        ``(pos + shift - s) % P`` and receives the one at
+        ``(pos + shift - s - 1) % P``.  ``order`` maps a ring position
+        to its block index (identity when None).  With the identity
+        order this costs O(steps returned): with one non-empty block a
+        rank gets at most two steps instead of walking all P-1.
+        """
+        P, live = self.P, self.live
+        q = pos + shift
+        if live == P:
+            steps: Sequence[int] = range(P - 1)
+        else:
+            held = (range(live) if order is None
+                    else [order.index(b) for b in range(live)])
+            steps = sorted({(q - p - d) % P for p in held for d in (0, 1)}
+                           - {P - 1})
+        if order is None:
+            return [(s, (q - s) % P, (q - s - 1) % P) for s in steps]
+        return [(s, order[(q - s) % P], order[(q - s - 1) % P])
+                for s in steps]
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def block_plan(nbytes: int, P: int) -> BlockPlan:
+    """The shared :class:`BlockPlan` for (``nbytes``, ``P``)."""
+    return BlockPlan(nbytes, P)
+
+
+def block_partition(nbytes: int, P: int) -> Tuple[Tuple[int, int], ...]:
     """(offset, length) of each rank's block; element-aligned, covers
-    the buffer exactly, final blocks may be empty for tiny buffers."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
+    the buffer exactly, final blocks may be empty for tiny buffers.
+    The blocks of the shared :func:`block_plan`, for aligned sizes
+    only."""
     if nbytes % GRAIN:
         raise ValueError(f"buffer must be {GRAIN}-byte aligned")
-    per = (nbytes // GRAIN + P - 1) // P * GRAIN
-    out = []
-    for i in range(P):
-        off = min(i * per, nbytes)
-        out.append((off, max(0, min(per, nbytes - off))))
-    return out
+    return block_plan(nbytes, P).blocks
 
 
 @traced("scatter.binomial")
@@ -93,7 +165,7 @@ def scatter_binomial(ctx: RankContext, buf: DeviceBuffer, root: int = 0,
         yield req.wait()
 
 
-def _block_runs(blocks: List[Tuple[int, int]], ranks: List[int]
+def _block_runs(blocks: Sequence[Tuple[int, int]], ranks: List[int]
                 ) -> List[Tuple[int, int]]:
     """Merge ``ranks``'s blocks into contiguous (offset, length) runs.
 
@@ -169,12 +241,11 @@ def allgather_ring(ctx: RankContext, buf: DeviceBuffer,
             else as_tag_block(tag_base, max(1, P - 1), "allgather.ring"))
     if P == 1:
         return
-    blocks = block_partition(buf.nbytes, P)
+    plan = block_plan(buf.nbytes, P)
+    blocks = plan.blocks
     right = (me + 1) % P
     left = (me - 1) % P
-    for s in range(P - 1):
-        sb = (me - s) % P
-        rb = (me - s - 1) % P
+    for s, sb, rb in plan.ring_steps(me):
         soff, slen = blocks[sb]
         roff, rlen = blocks[rb]
         sreq = (ctx.isend(right, buf, tag=tags.tag(s), offset=soff,
@@ -208,14 +279,13 @@ def reduce_scatter_ring(ctx: RankContext, sendbuf: DeviceBuffer,
     yield from local_accumulate_copy(ctx, recvbuf, sendbuf)
     if P == 1:
         return
-    blocks = block_partition(sendbuf.nbytes, P)
+    plan = block_plan(sendbuf.nbytes, P)
+    blocks = plan.blocks
     right = (me + 1) % P
     left = (me - 1) % P
     scratch = ctx.scratch_like(sendbuf, "rs.rx")
     try:
-        for s in range(P - 1):
-            sb = (me - s) % P
-            rb = (me - s - 1) % P
+        for s, sb, rb in plan.ring_steps(me):
             soff, slen = blocks[sb]
             roff, rlen = blocks[rb]
             sreq = (ctx.isend(right, recvbuf, tag=tags.tag(s), offset=soff,

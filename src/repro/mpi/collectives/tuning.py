@@ -20,7 +20,9 @@ from typing import Any, Generator, Optional
 
 from ...cuda import DeviceBuffer
 from ...sim import Event
+from ...tune import tables
 from ..communicator import RankContext
+from ..profiles import is_stock_profile
 from .hierarchical import hierarchical_reduce
 from .reduce import reduce_binomial, reduce_chain
 
@@ -158,12 +160,9 @@ def _table_knobs(ctx: RankContext, nbytes: int):
 
     Stock profiles only: any CVAR write derives a new profile that no
     longer equals its registered original, and an explicit MPI_T write
-    must always win over the offline table.  Lazy import — the tables
-    module is dependency-light (no cycle), and the no-table case stays
-    off the hot path.
+    must always win over the offline table.  The gate runs on every
+    call, so CVAR writes and ``tables_disabled()`` take effect at once.
     """
-    from ...tune import tables
-    from ..profiles import is_stock_profile
     if not tables.enabled() or not is_stock_profile(ctx.profile):
         return None
     return tables.lookup(ctx.profile.name, "reduce",

@@ -30,17 +30,21 @@ bit-for-bit (see ``repro.check.reference``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+import functools
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..cuda import DeviceBuffer
 from ..mpi.collectives.base import (
-    apply_reduction, coll_tags, local_accumulate_copy, traced,
+    apply_reduction, coll_tags, local_accumulate_copy, segments, traced,
     validate_knob,
 )
-from ..mpi.collectives.gather_scatter import block_partition
+from ..mpi.collectives.gather_scatter import (
+    PLAN_CACHE_SIZE, BlockPlan, block_plan,
+)
 from ..mpi.communicator import RankContext
-from ..mpi.profiles import NCCL
+from ..mpi.profiles import NCCL, is_stock_profile
 from ..sim import Event
+from ..tune import tables
 from .topology import Ring, Tree, build_rings, double_binary_trees
 
 __all__ = ["nccl_allreduce", "nccl_allreduce_ring", "nccl_allreduce_tree",
@@ -79,22 +83,22 @@ def _ring_chunk(ctx: RankContext, chunk_bytes: Optional[int]) -> int:
     return chunk_bytes - chunk_bytes % 4
 
 
-def _chunks(offset: int, nbytes: int, chunk: int) -> List[Tuple[int, int]]:
-    """Cut a (offset, nbytes) byte range into chunk-sized pieces."""
-    out = []
-    while nbytes > 0:
-        step = min(chunk, nbytes)
-        out.append((offset, step))
-        offset += step
-        nbytes -= step
-    return out
+Chunks = Tuple[Tuple[int, int], ...]
 
 
-def _chunk_capacity(nbytes: int, P: int, chunk: int) -> int:
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _block_chunks(nbytes: int, P: int, chunk: int) -> Tuple[Chunks, ...]:
+    """Every block of ``block_plan(nbytes, P)`` cut into chunk-sized
+    (offset, length) pieces; empty blocks have none.  Pure in its
+    arguments, so one table serves every rank and every call."""
+    return tuple(tuple(segments(n, chunk, offset=off)) if n else ()
+                 for off, n in block_plan(nbytes, P).blocks)
+
+
+def _chunk_capacity(plan: BlockPlan, chunk: int) -> int:
     """Max chunks any single partition block decomposes into (used to
     size tag reservations uniformly across ranks)."""
-    longest = max((n for _, n in block_partition(nbytes, P)), default=0)
-    return max(1, -(-longest // chunk))
+    return max(1, -(-plan.longest // chunk))
 
 
 def _meters(ctx: RankContext):
@@ -131,12 +135,14 @@ def nccl_reduce_scatter(ctx: RankContext, sendbuf: DeviceBuffer,
     """
     P = ctx.size
     chunk = _ring_chunk(ctx, chunk_bytes)
-    C = _chunk_capacity(sendbuf.nbytes, P, chunk)
+    plan = block_plan(sendbuf.nbytes, P)
+    C = _chunk_capacity(plan, chunk)
     tags = coll_tags(ctx, max(1, (P - 1) * C), "nccl.reduce_scatter")
     yield from local_accumulate_copy(ctx, recvbuf, sendbuf)
     if P == 1:
         return
-    yield from _ring_reduce_scatter(ctx, recvbuf, tags, 0, chunk, C)
+    yield from _ring_reduce_scatter(ctx, recvbuf, tags, plan, C,
+                                    _block_chunks(sendbuf.nbytes, P, chunk))
 
 
 @traced("nccl.allgather.ring")
@@ -149,29 +155,40 @@ def nccl_allgather(ctx: RankContext, buf: DeviceBuffer, *,
     differs from the rank-order ring."""
     P = ctx.size
     chunk = _ring_chunk(ctx, chunk_bytes)
-    C = _chunk_capacity(buf.nbytes, P, chunk)
+    plan = block_plan(buf.nbytes, P)
+    C = _chunk_capacity(plan, chunk)
     tags = coll_tags(ctx, max(1, (P - 1) * C), "nccl.allgather")
     if P == 1:
         return
     ring = rings_of(ctx.comm)[0]
+    # Blocks travel by owner rank: at step s position i relays the block
+    # contributed by the rank s positions behind it on the ring.
+    steps = plan.ring_steps(ring.position(ctx.rank), order=ring.order)
+    yield from _ring_circulate(ctx, ring, buf, tags, 0, C, steps,
+                               _block_chunks(buf.nbytes, P, chunk))
+
+
+def _ring_circulate(ctx: RankContext, ring: Ring, buf: DeviceBuffer, tags,
+                    tag0: int, C: int, steps: Sequence[Tuple[int, int, int]],
+                    chunks: Sequence[Chunks],
+                    ) -> Generator[Event, Any, None]:
+    """Allgather-style rotation: at each ``(s, send_block, recv_block)``
+    of ``steps``, forward one block's chunks to the right neighbour
+    while receiving another's from the left into ``buf``; chunk c of
+    step s uses tag ``tag0 + s*C + c`` of ``tags``."""
     hops, path_bytes, _ = _meters(ctx)
-    pos = ring.position(ctx.rank)
     right, left = ring.next_of(ctx.rank), ring.prev_of(ctx.rank)
-    blocks = block_partition(buf.nbytes, P)
-    for s in range(P - 1):
-        # Blocks travel by owner rank; position i relays the block
-        # contributed by the rank s positions behind it on the ring.
-        soff, slen = blocks[ring.order[(pos - s) % P]]
-        roff, rlen = blocks[ring.order[(pos - s - 1) % P]]
+    for s, sb, rb in steps:
+        t0 = tag0 + s * C
         sreqs = []
-        for c, (off, n) in enumerate(_chunks(soff, slen, chunk)):
-            sreqs.append(ctx.isend(right, buf, tag=tags.tag(s * C + c),
+        for c, (off, n) in enumerate(chunks[sb]):
+            sreqs.append(ctx.isend(right, buf, tag=tags.tag(t0 + c),
                                    offset=off, nbytes=n))
             hops.inc(1)
             path_bytes.inc(n, path="ring")
-        rreqs = [ctx.irecv(left, buf, tag=tags.tag(s * C + c),
-                           offset=off, nbytes=n)
-                 for c, (off, n) in enumerate(_chunks(roff, rlen, chunk))]
+        rreqs = [ctx.irecv(left, buf, tag=tags.tag(t0 + c), offset=off,
+                           nbytes=n)
+                 for c, (off, n) in enumerate(chunks[rb])]
         for req in rreqs:
             yield req.wait()
         for req in sreqs:
@@ -179,33 +196,27 @@ def nccl_allgather(ctx: RankContext, buf: DeviceBuffer, *,
 
 
 def _ring_reduce_scatter(ctx: RankContext, recvbuf: DeviceBuffer, tags,
-                         tag0: int, chunk: int, C: int,
+                         plan: BlockPlan, C: int, chunks: Sequence[Chunks],
                          ) -> Generator[Event, Any, None]:
     """Shared reduce-scatter rotation (position-indexed blocks); tags
-    ``tag0 .. tag0 + (P-1)*C`` of ``tags``."""
-    P = ctx.size
+    ``0 .. (P-1)*C`` of ``tags``."""
     ring = rings_of(ctx.comm)[0]
     hops, path_bytes, _ = _meters(ctx)
-    pos = ring.position(ctx.rank)
     right, left = ring.next_of(ctx.rank), ring.prev_of(ctx.rank)
-    blocks = block_partition(recvbuf.nbytes, P)
     scratch = ctx.scratch_like(recvbuf, "nccl.ring.rx")
     try:
-        for s in range(P - 1):
-            soff, slen = blocks[(pos - s) % P]
-            roff, rlen = blocks[(pos - s - 1) % P]
+        for s, sb, rb in plan.ring_steps(ring.position(ctx.rank)):
             sreqs = []
-            for c, (off, n) in enumerate(_chunks(soff, slen, chunk)):
+            for c, (off, n) in enumerate(chunks[sb]):
                 sreqs.append(ctx.isend(
-                    right, recvbuf, tag=tags.tag(tag0 + s * C + c),
+                    right, recvbuf, tag=tags.tag(s * C + c),
                     offset=off, nbytes=n))
                 hops.inc(1)
                 path_bytes.inc(n, path="ring")
             # Post every chunk receive up front: chunk k+1 is on the
             # wire while chunk k's reduction kernel runs.
-            rchunks = _chunks(roff, rlen, chunk)
-            rreqs = [ctx.irecv(left, scratch,
-                               tag=tags.tag(tag0 + s * C + c),
+            rchunks = chunks[rb]
+            rreqs = [ctx.irecv(left, scratch, tag=tags.tag(s * C + c),
                                offset=off, nbytes=n)
                      for c, (off, n) in enumerate(rchunks)]
             for req, (off, n) in zip(rreqs, rchunks):
@@ -228,37 +239,19 @@ def nccl_allreduce_ring(ctx: RankContext, sendbuf: DeviceBuffer,
     the payload — bandwidth-optimal)."""
     P = ctx.size
     chunk = _ring_chunk(ctx, chunk_bytes)
-    C = _chunk_capacity(sendbuf.nbytes, P, chunk)
+    plan = block_plan(sendbuf.nbytes, P)
+    C = _chunk_capacity(plan, chunk)
     tags = coll_tags(ctx, max(1, 2 * (P - 1) * C), "nccl.allreduce.ring")
     yield from local_accumulate_copy(ctx, recvbuf, sendbuf)
     if P == 1:
         return
-    yield from _ring_reduce_scatter(ctx, recvbuf, tags, 0, chunk, C)
-
+    chunks = _block_chunks(sendbuf.nbytes, P, chunk)
+    yield from _ring_reduce_scatter(ctx, recvbuf, tags, plan, C, chunks)
+    # Allgather: position i sends block i+1-s and receives block i-s.
     ring = rings_of(ctx.comm)[0]
-    hops, path_bytes, _ = _meters(ctx)
-    pos = ring.position(ctx.rank)
-    right, left = ring.next_of(ctx.rank), ring.prev_of(ctx.rank)
-    blocks = block_partition(recvbuf.nbytes, P)
-    base = (P - 1) * C
-    for s in range(P - 1):
-        soff, slen = blocks[(pos + 1 - s) % P]
-        roff, rlen = blocks[(pos - s) % P]
-        sreqs = []
-        for c, (off, n) in enumerate(_chunks(soff, slen, chunk)):
-            sreqs.append(ctx.isend(
-                right, recvbuf, tag=tags.tag(base + s * C + c),
-                offset=off, nbytes=n))
-            hops.inc(1)
-            path_bytes.inc(n, path="ring")
-        rreqs = [ctx.irecv(left, recvbuf,
-                           tag=tags.tag(base + s * C + c),
-                           offset=off, nbytes=n)
-                 for c, (off, n) in enumerate(_chunks(roff, rlen, chunk))]
-        for req in rreqs:
-            yield req.wait()
-        for req in sreqs:
-            yield req.wait()
+    steps = plan.ring_steps(ring.position(ctx.rank), shift=1)
+    yield from _ring_circulate(ctx, ring, recvbuf, tags, (P - 1) * C, C,
+                               steps, chunks)
 
 
 @traced("nccl.bcast.ring")
@@ -271,7 +264,8 @@ def nccl_bcast_ring(ctx: RankContext, buf: DeviceBuffer, root: int = 0, *,
     broadcast — latency P·α but full-bandwidth pipe once primed)."""
     P = ctx.size
     chunk = _ring_chunk(ctx, chunk_bytes)
-    chunks = _chunks(0, buf.nbytes, chunk)
+    # The whole buffer is the single block of the P=1 plan.
+    chunks = _block_chunks(buf.nbytes, 1, chunk)[0]
     tags = coll_tags(ctx, max(1, len(chunks)), "nccl.bcast.ring")
     if P == 1 or not chunks:
         return
@@ -315,8 +309,7 @@ def nccl_bcast_tree(ctx: RankContext, buf: DeviceBuffer, root: int = 0, *,
     tree 1's root first (one extra hop)."""
     P = ctx.size
     chunk = _ring_chunk(ctx, chunk_bytes)
-    halves = block_partition(buf.nbytes, 2)
-    C = _chunk_capacity(buf.nbytes, 2, chunk)
+    C = _chunk_capacity(block_plan(buf.nbytes, 2), chunk)
     # Tag layout: tree edges use t*C + c; the root -> tree-1-root feed
     # uses 2*C + c.
     tags = coll_tags(ctx, max(1, 3 * C), "nccl.bcast.tree")
@@ -331,7 +324,7 @@ def nccl_bcast_tree(ctx: RankContext, buf: DeviceBuffer, root: int = 0, *,
         return (v + root) % P
 
     feed_src = _tree_sources(trees)[1]  # tree 1's root (virtual rank)
-    half_chunks = [_chunks(off, n, chunk) for off, n in halves]
+    half_chunks = _block_chunks(buf.nbytes, 2, chunk)
 
     # Feed half 1 from the broadcast root to tree 1's root.
     feed_reqs = []
@@ -386,8 +379,7 @@ def nccl_allreduce_tree(ctx: RankContext, sendbuf: DeviceBuffer,
     halves on disjoint directed edges."""
     P = ctx.size
     chunk = _ring_chunk(ctx, chunk_bytes)
-    halves = block_partition(sendbuf.nbytes, 2)
-    C = _chunk_capacity(sendbuf.nbytes, 2, chunk)
+    C = _chunk_capacity(block_plan(sendbuf.nbytes, 2), chunk)
     # Tag layout: (phase * 2 + tree) * C + chunk; phase 0 = reduce-up,
     # phase 1 = bcast-down.
     tags = coll_tags(ctx, max(1, 4 * C), "nccl.allreduce.tree")
@@ -398,7 +390,7 @@ def nccl_allreduce_tree(ctx: RankContext, sendbuf: DeviceBuffer,
     _, path_bytes, depth = _meters(ctx)
     depth.set_max(max(t.depth() for t in trees))
     me = ctx.rank
-    half_chunks = [_chunks(off, n, chunk) for off, n in halves]
+    half_chunks = _block_chunks(sendbuf.nbytes, 2, chunk)
 
     def tag_of(phase: int, t: int, c: int) -> int:
         return tags.tag((phase * 2 + t) * C + c)
@@ -472,12 +464,10 @@ def _table_knobs(ctx: RankContext, collective: str,
 
     Applies only to *stock* profiles: a hand-tuned profile (any CVAR
     write goes through ``derive`` and breaks registry equality) always
-    wins over the offline table.  Imported lazily — ``repro.tune.tables``
-    is dependency-light, so there is no cycle, but the common no-table
-    case should not even pay the import at module load.
+    wins over the offline table; the gate runs on every call, so CVAR
+    writes and :func:`~repro.tune.tables.tables_disabled` take effect
+    immediately.
     """
-    from ..mpi.profiles import is_stock_profile
-    from ..tune import tables
     if not tables.enabled() or not is_stock_profile(ctx.profile):
         return None
     return tables.lookup(ctx.profile.name, collective,

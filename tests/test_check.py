@@ -289,3 +289,48 @@ class TestCaseSpec:
         a, b = run_case(case), run_case(case)
         assert a.ok and b.ok
         assert (a.sim_time, a.n_events) == (b.sim_time, b.n_events)
+
+
+class TestSharedSchedulePlans:
+    """Ring schedules are a pure function of (nbytes, P): every rank of
+    every call shares one plan instead of rebuilding it."""
+
+    @pytest.mark.parametrize("case", [
+        Case("reduce_scatter_ring", P=515, nbytes=4),
+        Case("nccl_allreduce_ring", P=514, nbytes=4, profile="nccl"),
+    ], ids=lambda c: c.collective)
+    def test_partition_built_once_per_case(self, case):
+        from repro.mpi.collectives import block_plan
+        block_plan.cache_clear()
+        r = run_case(case)
+        assert r.ok, r.describe()
+        info = block_plan.cache_info()
+        assert info.misses == 1  # the (4, P) plan, built once
+        assert info.hits >= case.P - 1  # ... and shared by every rank
+
+    #: (sim_time, n_events) of every boundary case, recorded before the
+    #: schedules were shared; plans must not move a single event.
+    BOUNDARY_PINS = {
+        "reduce_chain": (0.08324749809333744, 41605),
+        "reduce_binomial": (0.0001943620703125, 15),
+        "allreduce_ring": (0.024276904733333278, 5645),
+        "allgather_ring": (0.010104182000000055, 2571),
+        "reduce_scatter_ring": (0.014226223146666961, 3600),
+        "nccl_allreduce_ring/514": (0.024276904733333278, 5645),
+        "nccl_reduce_scatter": (0.0008950139199999993, 226),
+        "nccl_allreduce_ring/3": (0.11098796042667904, 74874),
+        "nccl_allreduce_tree": (0.00020355647999999995, 41),
+        "nccl_bcast_tree": (0.00010085333333333333, 22),
+    }
+
+    def test_boundary_cases_are_pinned(self):
+        from repro.check.harness import BOUNDARY_CASES
+        got = {}
+        for case in BOUNDARY_CASES:
+            key = case.collective
+            if key in ("nccl_allreduce_ring",):
+                key = f"{key}/{case.P}"
+            r = run_case(case)
+            assert r.ok, r.describe()
+            got[key] = (r.sim_time, r.n_events)
+        assert got == self.BOUNDARY_PINS

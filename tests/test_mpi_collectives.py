@@ -437,6 +437,49 @@ class TestAllreduce:
         np.testing.assert_allclose(rt.execute(comm, program)[0], data)
 
 
+class TestAllreduceRingUnalignedTail:
+    """The ring moves every byte of a buffer whose size is not a
+    multiple of 4: the last non-empty block owns the tail.  CNTK's 1-bit
+    wire buffers hit this (GoogLeNet's is 874,827 B)."""
+
+    @pytest.mark.parametrize("P", [2, 3, 5])
+    @pytest.mark.parametrize("nbytes", [1, 3, 10, 4097, 874827])
+    def test_size_only_run_delivers_every_byte(self, P, nbytes):
+        from repro.check import InvariantChecker
+        rt, comm = runtime_for(P)
+        chk = InvariantChecker()
+        chk.install(rt.sim)
+
+        def program(ctx):
+            sendbuf = DeviceBuffer(ctx.gpu, nbytes)
+            recvbuf = DeviceBuffer(ctx.gpu, nbytes)
+            yield from allreduce_ring(ctx, sendbuf, recvbuf)
+
+        try:
+            rt.execute(comm, program)
+        finally:
+            chk.uninstall()
+        # Both phases cross each block over P-1 ring links.
+        assert chk.coll_bytes == {"allreduce.ring": 2 * (P - 1) * nbytes}
+
+    @pytest.mark.parametrize("P", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 3, 31])
+    def test_odd_length_byte_payload_is_exact(self, P, n):
+        payloads = [np.random.default_rng(r).integers(0, 8, n, dtype=np.uint8)
+                    for r in range(P)]
+        want = np.sum(payloads, axis=0, dtype=np.uint8)
+        rt, comm = runtime_for(P)
+
+        def program(ctx):
+            sendbuf = DeviceBuffer.from_array(ctx.gpu, payloads[ctx.rank])
+            recvbuf = DeviceBuffer.zeros(ctx.gpu, n, dtype=np.uint8)
+            yield from allreduce_ring(ctx, sendbuf, recvbuf)
+            return recvbuf.data.copy()
+
+        for got in rt.execute(comm, program):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestProfileReduceGap:
     def test_mv2gdr_beats_mv2_beats_openmpi(self):
         """The Fig. 12 ordering at a DL-scale message size."""

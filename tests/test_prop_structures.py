@@ -11,7 +11,7 @@ from repro.dnn.specs import (
 )
 from repro.hardware import cluster_a
 from repro.mpi import MPIRuntime, MV2GDR
-from repro.mpi.collectives import block_partition, hr_plan
+from repro.mpi.collectives import block_partition, block_plan, hr_plan
 from repro.sim import Simulator
 
 
@@ -78,6 +78,70 @@ class TestBlockPartitionProperties:
                 assert off == pos
                 pos += n
             assert off % 4 == 0 and n % 4 == 0
+
+
+class TestBlockPlanProperties:
+    @staticmethod
+    def _brute_steps(plan, pos, shift, order):
+        P = plan.P
+        steps = []
+        for s in range(P - 1):
+            sb = order[(pos + shift - s) % P]
+            rb = order[(pos + shift - s - 1) % P]
+            if plan.blocks[sb][1] or plan.blocks[rb][1]:
+                steps.append((s, sb, rb))
+        return steps
+
+    @given(st.integers(min_value=0, max_value=1 << 16),
+           st.integers(min_value=1, max_value=64),
+           st.integers(min_value=0, max_value=63),
+           st.integers(min_value=0, max_value=2))
+    @settings(max_examples=200, deadline=None)
+    def test_steps_are_exactly_the_live_steps(self, nbytes, P, position,
+                                              shift):
+        plan = block_plan(nbytes, P)
+        pos = position % P
+        assert plan.ring_steps(pos, shift) == self._brute_steps(
+            plan, pos, shift, range(P))
+        # Blocks tile [0, nbytes): the first ``live`` are non-empty and
+        # aligned except for the last, which owns the unaligned tail.
+        assert len(plan.blocks) == P
+        end = 0
+        for i, (off, n) in enumerate(plan.blocks):
+            assert (n > 0) == (i < plan.live)
+            if n:
+                assert off == end
+                end += n
+                if i < plan.live - 1:
+                    assert off % 4 == 0 and n % 4 == 0
+        assert end == nbytes
+        assert plan.longest == max(n for _, n in plan.blocks)
+
+    @given(st.data(), st.integers(min_value=0, max_value=1 << 12),
+           st.integers(min_value=1, max_value=24))
+    @settings(max_examples=100, deadline=None)
+    def test_steps_follow_a_ring_order(self, data, nbytes, P):
+        order = tuple(data.draw(st.permutations(range(P))))
+        pos = data.draw(st.integers(min_value=0, max_value=P - 1))
+        plan = block_plan(nbytes, P)
+        assert plan.ring_steps(pos, order=order) == self._brute_steps(
+            plan, pos, 0, order)
+
+    @given(st.integers(min_value=0, max_value=1 << 16).map(
+        lambda n: n - n % 4),
+        st.integers(min_value=1, max_value=64))
+    @settings(max_examples=100, deadline=None)
+    def test_aligned_plans_keep_the_historical_partition(self, nbytes, P):
+        """For aligned sizes the shared plan cuts exactly the blocks the
+        per-rank arithmetic used to, so no schedule moves."""
+        per = (nbytes // 4 + P - 1) // P * 4
+        want = []
+        for i in range(P):
+            off = min(i * per, nbytes)
+            want.append((off, max(0, min(per, nbytes - off))))
+        assert list(block_plan(nbytes, P).blocks) == want
+        assert block_partition(nbytes, P) == block_plan(nbytes, P).blocks
+        assert block_plan(nbytes, P) is block_plan(nbytes, P)
 
 
 def _random_spec(rng_draw, n_layers):

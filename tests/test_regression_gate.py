@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
                                 "benchmarks"))
 
+import common  # noqa: E402
 import regression_gate as rg  # noqa: E402
 
 
@@ -27,7 +28,10 @@ def _write_baseline(path, headline):
 
 @pytest.fixture
 def gate(monkeypatch, tmp_path):
-    """The gate wired to a tmp baseline and a fake (instant) subset."""
+    """The gate wired to a tmp baseline, a fake (instant) subset and a
+    tmp results directory (the fake headline must never overwrite the
+    committed ``results/BENCH_regression.json``)."""
+    monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path / "results"))
     monkeypatch.setattr(rg, "run_subset", _fake_headline)
     monkeypatch.setattr(rg, "BASELINE",
                         _write_baseline(tmp_path / "base.json",
@@ -185,3 +189,22 @@ class TestCommittedBaselineRun:
         assert payload["format"] == "repro.obs.run/1"
         assert payload["runcard"]["network"] == "googlenet"
         assert payload["profile"]["cp_cells"]
+
+
+class TestCommittedRecord:
+    def test_committed_record_regenerates_exactly(self, monkeypatch,
+                                                  tmp_path):
+        """``results/BENCH_regression.json`` is what the gate's own
+        subset computes today, bit for bit, and matches the baseline."""
+        with open(os.path.join(common.RESULTS_DIR,
+                               "BENCH_regression.json")) as f:
+            record = json.load(f)
+        with open(rg.BASELINE) as f:
+            baseline = json.load(f)
+        assert record == baseline
+        assert record["seed"] == rg.TRAIN_SEED
+        assert record["rel_tol"] == rg.REL_TOL
+        # The train point also writes telemetry artifacts; keep them out
+        # of the committed results directory.
+        monkeypatch.setattr(rg, "RESULTS_DIR", str(tmp_path))
+        assert rg.run_subset() == record["headline"]
