@@ -36,6 +36,7 @@ def _parse_size(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core import FRAMEWORK_NAMES
     # The backend list comes from the profile registry, so a profile
     # registered via register_profile shows up in every --profile flag.
     from .mpi.profiles import profile_names
@@ -48,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run a training experiment")
     t.add_argument("--framework", default="scaffe",
-                   choices=["scaffe", "caffe", "nvcaffe", "cntk",
-                            "inspur", "mpicaffe"])
+                   choices=FRAMEWORK_NAMES)
     t.add_argument("--cluster", default="A", choices=["A", "B"])
     t.add_argument("--gpus", type=int, default=16)
     t.add_argument("--network", default="googlenet")

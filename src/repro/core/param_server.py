@@ -15,13 +15,13 @@ the same missing bars.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Optional
 
 from ..hardware import Cluster
-from ..io import DataLayer, DataReader, get_dataset, make_backend
 from ..mpi import MPIRuntime, MPIProfile, MV2, RankContext
 from ..sim import Event, Tracer
 from .config import TrainConfig
+from .job import TrainingJob, resolve_workload
 from .metrics import TrainingReport
 from .workload import SolverBuffers, Workload
 
@@ -33,7 +33,7 @@ WORKING_COUNTS = {2, 4}
 HANGING_COUNTS = {8, 16}
 
 
-class ParameterServerJob:
+class ParameterServerJob(TrainingJob):
     """Parameter-server training (Inspur-Caffe-like).
 
     ``mode="sync"`` is the synchronous master-worker pattern of
@@ -45,83 +45,50 @@ class ParameterServerJob:
     train on parameters that may be several updates stale.
     """
 
+    phases = ("fwd", "bwd", "aggregation", "update", "propagation")
+
     def __init__(self, cluster: Cluster, n_gpus: int, workload: Workload,
                  cfg: TrainConfig, *, profile: MPIProfile | str = MV2,
                  tracer: Optional[Tracer] = None,
                  emulate_limits: bool = True, mode: str = "sync"):
         if mode not in ("sync", "async"):
             raise ValueError(f"mode must be sync|async, got {mode!r}")
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.cal = cluster.cal
-        self.n_gpus = n_gpus
-        self.workload = workload
-        self.cfg = cfg
         self.runtime = MPIRuntime(cluster, profile)
-        self.tracer = tracer or Tracer(self.sim)
+        super().__init__(cluster, n_gpus, workload, cfg, tracer)
         self.emulate_limits = emulate_limits
         self.mode = mode
-        self.local_batch = cfg.local_batch(n_gpus)
-        self.sim_iterations = min(cfg.iterations, cfg.measure_iterations + 1)
-        self._iter_ends: List[float] = []
 
     @property
-    def framework_name(self) -> str:
+    def name(self) -> str:
         return ("Inspur-Caffe" if self.mode == "sync"
                 else "Inspur-Caffe (async)")
 
-    def run(self) -> TrainingReport:
-        cfg = self.cfg
-        wl = self.workload
-        report = TrainingReport(
-            framework=self.framework_name, network=wl.name,
-            n_gpus=self.n_gpus,
-            iterations=cfg.iterations, total_time=0.0,
-            global_batch=cfg.global_batch(self.n_gpus))
-
+    def _refusal(self):
         if self.emulate_limits:
             if self.n_gpus in HANGING_COUNTS:
-                report.failure = "hang"
-                report.notes = ("execution hangs after a few iterations "
+                return "hang", ("execution hangs after a few iterations "
                                 "(Section 6.4)")
-                return report
             if self.n_gpus not in WORKING_COUNTS:
-                report.failure = "unsupported"
-                report.notes = "comparator only ran at 2 and 4 GPUs"
-                return report
-        if wl.memory_per_solver(self.local_batch) > \
-                self.cluster.gpus[0].spec.memory_bytes:
-            report.failure = "oom"
-            return report
+                return "unsupported", "comparator only ran at 2 and 4 GPUs"
+        if self.mode == "async" and self.n_gpus < 2:
+            return "unsupported", ("async parameter server needs >= 2 "
+                                   "ranks (rank 0 only serves)")
+        return super()._refusal()
 
-        comm = self.runtime.world(self.n_gpus)
-        dataset = get_dataset(cfg.dataset)
-        backend = make_backend("lmdb", self.sim, dataset, self.cal)
-        program = (self._rank_program if self.mode == "sync"
-                   else self._rank_program_async)
-        procs = self.runtime.spawn(comm, program, backend)
-        self.sim.run()
-        for p in procs:
-            if not p.ok:  # pragma: no cover
-                raise p.value
+    def _rank_program(self, ctx: RankContext, backend
+                      ) -> Generator[Event, Any, None]:
+        program = (self._sync_program if self.mode == "sync"
+                   else self._async_program)
+        return program(ctx, backend)
 
-        ends = self._iter_ends
-        first = ends[0]
-        steady = ((ends[-1] - ends[0]) / (len(ends) - 1)
-                  if len(ends) > 1 else first)
-        report.total_time = (first + steady * (cfg.iterations - 1)
-                             if cfg.iterations != len(ends) else ends[-1])
-        report.phase_breakdown = {
-            p: self.tracer.total(p, "r0") / self.sim_iterations
-            for p in ("fwd", "bwd", "aggregation", "update",
-                      "propagation")}
-        if self.mode == "async":
+    def _finish(self, report, exc=None):
+        if self.mode == "async" and report.ok and exc is None:
             # Rank 0 is a dedicated server: only P-1 GPUs train.
             report.global_batch = self.local_batch * (self.n_gpus - 1)
             report.notes = "dedicated server on rank 0; stale updates"
-        return report
+        return super()._finish(report, exc)
 
-    def _rank_program(self, ctx: RankContext, backend
+    def _sync_program(self, ctx: RankContext, backend
                       ) -> Generator[Event, Any, None]:
         """Rank 0 doubles as the server (a GPU 'taken away' from
         training is exactly the design critique of Section 3.1 — here
@@ -131,7 +98,6 @@ class ParameterServerJob:
         me = ctx.rank
         P = ctx.size
         lb = self.local_batch
-        eff = self.cal.batch_efficiency(max(1, lb))
         tr = self.tracer
         actor = f"r{me}"
 
@@ -142,27 +108,13 @@ class ParameterServerJob:
         extra = lb * (wl.activation_bytes_per_sample
                       + wl.input_bytes_per_sample)
         ctx.gpu.reserve(extra)
-        reader = DataReader(self.sim, backend, batch_samples=max(1, lb),
-                            decode_bw=self.cal.decode_bw,
-                            name=f"{actor}.reader")
-        layer = DataLayer(reader)
+        layer = self._data_layer(backend, lb, f"{actor}.reader")
         yield from ctx.barrier()
 
         try:
             for it in range(self.sim_iterations):
-                yield from layer.next_batch()
-                yield self.sim.timeout(self.cal.cuda_copy_overhead)
-                yield from ctx.gpu.pcie_down.transfer(
-                    lb * wl.input_bytes_per_sample)
-
-                tr.begin(actor, "fwd")
-                yield from ctx.cuda.launch(
-                    ctx.gpu, flops=wl.fwd_flops_per_sample * lb / eff)
-                tr.end(actor, "fwd")
-                tr.begin(actor, "bwd")
-                yield from ctx.cuda.launch(
-                    ctx.gpu, flops=wl.bwd_flops_per_sample * lb / eff)
-                tr.end(actor, "bwd")
+                yield from self._input_batch(ctx.gpu, layer)
+                yield from self._fwd_bwd(ctx.cuda, ctx.gpu, actor)
 
                 tag = 100 + it % 100
                 if me == 0:
@@ -173,12 +125,8 @@ class ParameterServerJob:
                         yield from ctx.cuda.reduce_kernel(
                             buffers.packed_grads, scratch)
                     tr.end(actor, "aggregation")
-                    tr.begin(actor, "update")
-                    yield self.sim.timeout(
-                        self.cal.solver_iteration_overhead)
-                    yield from ctx.cuda.launch(ctx.gpu,
-                                               flops=wl.param_bytes)
-                    tr.end(actor, "update")
+                    yield from self._apply_update(ctx.cuda, ctx.gpu, actor,
+                                                  wl.param_bytes)
                     tr.begin(actor, "propagation")
                     reqs = [ctx.isend(dst, buffers.packed_params,
                                       tag=tag + 1000)
@@ -186,21 +134,20 @@ class ParameterServerJob:
                     for r in reqs:
                         yield r.wait()
                     tr.end(actor, "propagation")
-                    self._iter_ends.append(self.sim.now)
+                    self._record_iter_end(it)
                 else:
                     yield from ctx.send(0, buffers.packed_grads, tag=tag)
                     yield from ctx.recv(0, buffers.packed_params,
                                         tag=tag + 1000)
         finally:
-            reader.stop()
+            layer.reader.stop()
             buffers.free()
             if scratch is not None:
                 scratch.free()
             ctx.gpu.unreserve(extra)
 
-
-    def _rank_program_async(self, ctx: RankContext, backend
-                            ) -> Generator[Event, Any, None]:
+    def _async_program(self, ctx: RankContext, backend
+                       ) -> Generator[Event, Any, None]:
         """Asynchronous mode: rank 0 is a *dedicated* server (one GPU
         taken away from training — the Section 3.1 critique); workers
         never wait for each other, and each gradient is applied on
@@ -209,10 +156,6 @@ class ParameterServerJob:
         wl = self.workload
         me = ctx.rank
         P = ctx.size
-        if P < 2:
-            raise ValueError("async parameter server needs >= 2 ranks")
-        lb = self.local_batch
-        eff = self.cal.batch_efficiency(max(1, lb))
         tr = self.tracer
         actor = f"r{me}"
         GRAD_TAG, PARAM_TAG = 11, 13
@@ -244,35 +187,20 @@ class ParameterServerJob:
                 finally:
                     scratch.free()
             else:
-                reader = DataReader(self.sim, backend,
-                                    batch_samples=max(1, lb),
-                                    decode_bw=self.cal.decode_bw,
-                                    name=f"{actor}.reader")
-                layer = DataLayer(reader)
+                layer = self._data_layer(backend, self.local_batch,
+                                         f"{actor}.reader")
                 try:
                     for it in range(self.sim_iterations):
-                        yield from layer.next_batch()
-                        yield self.sim.timeout(self.cal.cuda_copy_overhead)
-                        yield from ctx.gpu.pcie_down.transfer(
-                            lb * wl.input_bytes_per_sample)
-                        tr.begin(actor, "fwd")
-                        yield from ctx.cuda.launch(
-                            ctx.gpu,
-                            flops=wl.fwd_flops_per_sample * lb / eff)
-                        tr.end(actor, "fwd")
-                        tr.begin(actor, "bwd")
-                        yield from ctx.cuda.launch(
-                            ctx.gpu,
-                            flops=wl.bwd_flops_per_sample * lb / eff)
-                        tr.end(actor, "bwd")
+                        yield from self._input_batch(ctx.gpu, layer)
+                        yield from self._fwd_bwd(ctx.cuda, ctx.gpu, actor)
                         yield from ctx.send(0, buffers.packed_grads,
                                             tag=GRAD_TAG)
                         yield from ctx.recv(0, buffers.packed_params,
                                             tag=PARAM_TAG)
                         if me == 1:
-                            self._iter_ends.append(self.sim.now)
+                            self._record_iter_end(it)
                 finally:
-                    reader.stop()
+                    layer.reader.stop()
         finally:
             buffers.free()
 
@@ -281,9 +209,7 @@ def run_param_server(cluster: Cluster, n_gpus: int, cfg: TrainConfig, *,
                      workload: Optional[Workload] = None,
                      emulate_limits: bool = True, mode: str = "sync",
                      tracer: Optional[Tracer] = None) -> TrainingReport:
-    if workload is None:
-        from ..dnn import get_network
-        workload = Workload.from_spec(get_network(cfg.network))
-    return ParameterServerJob(cluster, n_gpus, workload, cfg,
+    return ParameterServerJob(cluster, n_gpus,
+                              resolve_workload(cfg, workload), cfg,
                               tracer=tracer, mode=mode,
                               emulate_limits=emulate_limits).run()

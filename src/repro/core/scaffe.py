@@ -25,13 +25,12 @@ transformations of the same iteration loop:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Generator, List, Optional
 
 from ..cuda import DeviceBuffer
 from ..faults import CrashRank, FaultInjector, FaultPlan, StallLink
 from ..hardware import Cluster
-from ..io import CheckpointStore, DataLayer, DataReader, get_dataset, \
-    make_backend
+from ..io import CheckpointStore, DataLayer
 from ..mpi import (
     CollectiveTimeout, CommRevoked, MPIRuntime, MPIProfile, MV2GDR,
     RankContext, RankFailure, RequestTimeout, TransportTimeout,
@@ -42,6 +41,7 @@ from ..mpi.collectives import (
 )
 from ..sim import Channel, Event, Interrupt, Tracer
 from .config import TrainConfig
+from .job import TrainingJob, resolve_workload
 from .metrics import FaultReport, TrainingReport
 from .workload import RealCompute, SolverBuffers, Workload
 
@@ -51,8 +51,11 @@ __all__ = ["SCaffeJob", "run_scaffe"]
 _RECOVERABLE = (RankFailure, CommRevoked, TransportTimeout, RequestTimeout)
 
 
-class SCaffeJob:
+class SCaffeJob(TrainingJob):
     """One S-Caffe training run on a cluster slice."""
+
+    phases = ("propagation", "fwd", "bwd", "aggregation", "update", "test")
+    phase_actors = ("r0", "r0.helper")
 
     def __init__(self, cluster: Cluster, n_gpus: int, workload: Workload,
                  cfg: TrainConfig, *,
@@ -62,22 +65,17 @@ class SCaffeJob:
                  recorder=None,
                  fault_plan: Optional[FaultPlan] = None,
                  telemetry=None):
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.cal = cluster.cal
-        if recorder is not None and recorder.sim is not self.sim:
+        sim = cluster.sim
+        if recorder is not None and recorder.sim is not sim:
             raise ValueError("recorder belongs to a different simulator")
         self.recorder = recorder
-        self.n_gpus = n_gpus
-        self.workload = workload
-        self.cfg = cfg
         self.runtime = MPIRuntime(cluster, profile)
         self.telemetry = telemetry
         if telemetry is not None:
             from ..telemetry import bind_cluster, bind_runtime
             if telemetry.sim is None:
-                telemetry.attach(self.sim)
-            elif telemetry.sim is not self.sim:
+                telemetry.attach(sim)
+            elif telemetry.sim is not sim:
                 raise ValueError(
                     "telemetry session belongs to a different simulator")
             bind_cluster(telemetry, cluster)
@@ -91,9 +89,8 @@ class SCaffeJob:
             self.straggler = StragglerDetector(recorder)
             bind_straggler_pvars(telemetry, self.straggler)
         self.adapter = adapter
-        self.tracer = tracer or Tracer(self.sim, enabled=True)
-        self.local_batch = cfg.local_batch(n_gpus)
-        self.sim_iterations = min(cfg.iterations, cfg.measure_iterations + 1)
+        super().__init__(cluster, n_gpus, workload, cfg, tracer)
+        self.data_backend = cfg.data_backend
         self.injector = (FaultInjector(cluster, fault_plan)
                          if fault_plan is not None else None)
         if telemetry is not None and self.injector is not None:
@@ -113,96 +110,65 @@ class SCaffeJob:
         self._last_loss: Optional[float] = None
         self._recoveries = 0
         self._recovery_time = 0.0
-        self._iter_ends: List[float] = []
         self._io_stalls: List[float] = []
         self._test_results: List = []
 
+    @property
+    def name(self) -> str:
+        return f"S-Caffe ({self.cfg.variant})"
+
     # -- orchestration ------------------------------------------------------
-    def run(self) -> TrainingReport:
-        cfg = self.cfg
-        wl = self.workload
-        name = f"S-Caffe ({cfg.variant})"
-        report = TrainingReport(
-            framework=name, network=wl.name, n_gpus=self.n_gpus,
-            iterations=cfg.iterations,
-            total_time=0.0, global_batch=cfg.global_batch(self.n_gpus))
-
-        # Fig. 8: "Missing data points are for the cases where solvers
-        # ran out of memory" — a too-large effective batch per solver.
-        need = wl.memory_per_solver(self.local_batch)
-        capacity = self.cluster.gpus[0].spec.memory_bytes
-        if need > capacity:
-            report.failure = "oom"
-            report.notes = (f"needs {need >> 20} MiB/GPU, "
-                            f"capacity {capacity >> 20} MiB")
-            if self.injector is not None or cfg.checkpoint_interval:
-                report.faults = self._fault_report()
-            return report
-
+    def _spawn(self):
         comm = self.runtime.world(self.n_gpus)
         self._root_gpu = comm.gpus[0]
-        dataset = get_dataset(cfg.dataset)
-        backend = make_backend(
-            "lustre" if cfg.data_backend in ("lustre", "imagedata")
-            else "lmdb", self.sim, dataset, self.cal)
+        backend = self._backend()
+        if self.telemetry is not None:
+            self.telemetry.install()
+        procs = self.runtime.spawn(comm, self._rank_program, backend)
+        if self.injector is not None:
+            if self._stall_possible:
+                # A stall can park a collective forever with no failing
+                # attempt for the retry loop to convert; the watchdog
+                # turns it into a typed outcome.
+                wd = self.runtime.ensure_watchdog()
+                if self.recorder is not None:
+                    wd.flight = self.recorder.flight
+                wd.arm(procs, comm.gpus, nbytes=self.workload.param_bytes)
+            self.injector.arm(runtime=self.runtime, procs=procs,
+                              gpus=comm.gpus, checkpoint=self.checkpoint)
+        return procs
 
+    def _finish(self, report, exc=None):
+        cfg = self.cfg
         tel = self.telemetry
         if tel is not None:
-            tel.install()
-        try:
-            procs = self.runtime.spawn(comm, self._rank_program, backend)
-            if self.injector is not None:
-                if self._stall_possible:
-                    # A stall can park a collective forever with no
-                    # failing attempt for the retry loop to convert;
-                    # the watchdog turns it into a typed outcome.
-                    wd = self.runtime.ensure_watchdog()
-                    if self.recorder is not None:
-                        wd.flight = self.recorder.flight
-                    wd.arm(procs, comm.gpus,
-                           nbytes=self.workload.param_bytes)
-                self.injector.arm(runtime=self.runtime, procs=procs,
-                                  gpus=comm.gpus,
-                                  checkpoint=self.checkpoint)
-            try:
-                self.sim.run()
-            except Exception as exc:
-                # Under fault injection a failed rank is an *outcome*,
-                # not a harness bug: report it as a typed failure so
-                # callers (the chaos gate, the CLI) see the outcome
-                # trichotomy, never a hang or an unexplained traceback.
-                if self.injector is None:  # pragma: no cover - defensive
-                    raise
-                report.failure = type(exc).__name__
-                report.notes = str(exc)
-                report.simulated_time = self.sim.now
-                report.faults = self._fault_report()
-                fl = (self.recorder.flight
-                      if self.recorder is not None else None)
-                if fl is not None:
-                    # Ship the last-N-events timeline with the typed
-                    # failure (the watchdog may have dumped already;
-                    # this refreshes the post-mortem with the final
-                    # state of the ring).
-                    fl.dump(f"{type(exc).__name__}: {exc}")
-                return report
-        finally:
-            if tel is not None:
-                tel.uninstall()
-        for p in procs:
-            if not p.ok:  # pragma: no cover - defensive
-                raise p.value
+            tel.uninstall()
+        if exc is not None:
+            # Under fault injection a failed rank is an *outcome*, not a
+            # harness bug: report it as a typed failure so callers (the
+            # chaos gate, the CLI) see the outcome trichotomy, never a
+            # hang or an unexplained traceback.
+            if self.injector is None:  # pragma: no cover - defensive
+                raise exc
+            report.failure = type(exc).__name__
+            report.notes = str(exc)
+            report.simulated_time = self.sim.now
+            fl = self.recorder.flight if self.recorder is not None else None
+            if fl is not None:
+                # Ship the last-N-events timeline with the typed failure
+                # (the watchdog may have dumped already; this refreshes
+                # the post-mortem with the final state of the ring).
+                fl.dump(f"{type(exc).__name__}: {exc}")
+        if self.injector is not None or cfg.checkpoint_interval:
+            report.faults = self._fault_report()
+        if not report.ok:
+            return report
 
-        report.total_time = self._extrapolated_total()
-        report.simulated_time = self._iter_ends[-1]
-        report.phase_breakdown = self._per_iteration_phases()
         report.test_results = list(self._test_results)
         if self._io_stalls:
             report.io_stall_per_iteration = (
                 sum(self._io_stalls) / len(self._io_stalls)
                 / self.sim_iterations)
-        if self.injector is not None or cfg.checkpoint_interval:
-            report.faults = self._fault_report()
         if self.recorder is not None:
             from ..prof import build_profile
             report.profile = build_profile(self.recorder)
@@ -243,31 +209,6 @@ class SCaffeJob:
             fr.watchdog_escalations = wd.escalations
         return fr
 
-    def _extrapolated_total(self) -> float:
-        """Total time for cfg.iterations from the simulated window.
-
-        The first iteration carries warmup (cold readers, first bcast);
-        steady state is the mean of the remaining simulated iterations.
-        """
-        ends = self._iter_ends
-        assert len(ends) == self.sim_iterations
-        if self.cfg.iterations == len(ends):
-            return ends[-1]
-        first = ends[0]
-        steady = ((ends[-1] - ends[0]) / (len(ends) - 1)
-                  if len(ends) > 1 else first)
-        return first + steady * (self.cfg.iterations - 1)
-
-    def _per_iteration_phases(self) -> Dict[str, float]:
-        """Root-rank per-iteration phase times."""
-        out = {}
-        for phase in ("propagation", "fwd", "bwd", "aggregation",
-                      "update", "test"):
-            t = self.tracer.total(phase, "r0") \
-                + self.tracer.total(phase, "r0.helper")
-            out[phase] = t / self.sim_iterations
-        return out
-
     # -- the SPMD solver ----------------------------------------------------------
     def _rank_program(self, ctx: RankContext, backend
                       ) -> Generator[Event, Any, None]:
@@ -292,11 +233,8 @@ class SCaffeJob:
         ctx.gpu.reserve(extra)
 
         # Parallel reader design (Fig. 3): one reader + queue per solver.
-        reader = DataReader(self.sim, backend,
-                            batch_samples=max(1, self.local_batch),
-                            decode_bw=self.cal.decode_bw,
-                            name=f"{actor}.reader")
-        layer = DataLayer(reader)
+        layer = self._data_layer(backend, self.local_batch,
+                                 f"{actor}.reader")
 
         if with_payload and me == 0:
             buffers.write_params(self.adapter.get_params(0))
@@ -338,7 +276,7 @@ class SCaffeJob:
                     self.tracer.abandon(actor)
                     pending_exc = exc
         finally:
-            reader.stop()
+            layer.reader.stop()
             self._io_stalls.append(layer.stall_time)
             buffers.free()
             ctx.gpu.unreserve(extra)
@@ -353,23 +291,14 @@ class SCaffeJob:
             yield from self._iteration(ctx, actor, buffers, layer, it)
             if ctx.gpu is self._root_gpu:
                 self._record_iter_end(it)
+                tel = self.sim.telemetry
+                if tel is not None:
+                    tel.on_iteration(it, self.sim.now,
+                                     cfg.global_batch(self.n_gpus),
+                                     loss=self._last_loss)
                 if (cfg.checkpoint_interval
                         and (it + 1) % cfg.checkpoint_interval == 0):
                     yield from self._save_checkpoint(ctx, it + 1)
-
-    def _record_iter_end(self, it: int) -> None:
-        # Index-assigned so iterations replayed after a rollback
-        # overwrite their pre-crash timestamps.
-        ends = self._iter_ends
-        if it < len(ends):
-            ends[it] = self.sim.now
-        else:
-            ends.append(self.sim.now)
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.on_iteration(it, self.sim.now,
-                             self.cfg.global_batch(self.n_gpus),
-                             loss=self._last_loss)
 
     def _save_checkpoint(self, ctx: RankContext, completed: int
                          ) -> Generator[Event, Any, None]:
@@ -444,10 +373,7 @@ class SCaffeJob:
             bcast_reqs[0] = ibcast(ctx, buffers.param_bufs[0], 0)
 
         # ---- input batch (reader queue + H2D upload) ----------------------------
-        yield from layer.next_batch()
-        yield self.sim.timeout(self.cal.cuda_copy_overhead)
-        yield from ctx.gpu.pcie_down.transfer(
-            lb * wl.input_bytes_per_sample)
+        yield from self._input_batch(ctx.gpu, layer)
 
         # ---- forward pass ----------------------------------------------------------
         for g, group in enumerate(groups):
@@ -493,11 +419,8 @@ class SCaffeJob:
 
         # ---- ApplyUpdate on the root solver -----------------------------------------
         if me == 0:
-            tr.begin(actor, "update")
-            yield self.sim.timeout(self.cal.solver_iteration_overhead)
-            # Momentum SGD touches each parameter a handful of times.
-            yield from ctx.cuda.launch(ctx.gpu, flops=wl.param_bytes)
-            tr.end(actor, "update")
+            yield from self._apply_update(ctx.cuda, ctx.gpu, actor,
+                                          wl.param_bytes)
             if self.adapter is not None:
                 self.adapter.apply_update(0, buffers.read_grads())
                 buffers.write_params(self.adapter.get_params(0))
@@ -582,10 +505,8 @@ def run_scaffe(cluster: Cluster, n_gpus: int, cfg: TrainConfig, *,
                fault_plan: Optional[FaultPlan] = None,
                telemetry=None) -> TrainingReport:
     """Convenience wrapper: build the workload from the config and run."""
-    if workload is None:
-        from ..dnn import get_network
-        workload = Workload.from_spec(get_network(cfg.network))
-    job = SCaffeJob(cluster, n_gpus, workload, cfg, profile=profile,
-                    adapter=adapter, tracer=tracer, recorder=recorder,
-                    fault_plan=fault_plan, telemetry=telemetry)
+    job = SCaffeJob(cluster, n_gpus, resolve_workload(cfg, workload), cfg,
+                    profile=profile, adapter=adapter, tracer=tracer,
+                    recorder=recorder, fault_plan=fault_plan,
+                    telemetry=telemetry)
     return job.run()

@@ -10,6 +10,7 @@ benchmarks::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Union
 
 from ..hardware import Cluster, make_cluster
@@ -26,8 +27,20 @@ from .workload import RealCompute, Workload
 
 __all__ = ["train", "FRAMEWORK_NAMES"]
 
-FRAMEWORK_NAMES = ("scaffe", "caffe", "nvcaffe", "cntk", "inspur",
-                   "mpicaffe")
+#: Framework name -> (runner, other accepted spellings).  Spellings are
+#: matched lower-case with ``-`` and ``_`` removed.
+_FRAMEWORKS = {
+    "scaffe": (run_scaffe, ("s",)),
+    "caffe": (run_caffe, ()),
+    "nvcaffe": (partial(run_caffe, optimized=True), ("nvidiacaffe",)),
+    "cntk": (run_cntk, ()),
+    "inspur": (run_param_server, ("inspurcaffe", "paramserver", "ps")),
+    "mpicaffe": (run_mpi_caffe, ("modelparallel", "mp")),
+}
+FRAMEWORK_NAMES = tuple(_FRAMEWORKS)
+_BY_SPELLING = {spelling: name
+                for name, (_, aliases) in _FRAMEWORKS.items()
+                for spelling in (name, *aliases)}
 
 
 def train(framework: str, *, n_gpus: int,
@@ -45,8 +58,9 @@ def train(framework: str, *, n_gpus: int,
     ----------
     framework:
         ``"scaffe"`` (variant chosen by ``config.variant``), ``"caffe"``
-        (BVLC baseline), ``"nvcaffe"`` (NVIDIA fork), ``"cntk"``, or
-        ``"inspur"`` (parameter server).
+        (BVLC baseline), ``"nvcaffe"`` (NVIDIA fork), ``"cntk"``,
+        ``"inspur"`` (parameter server), or ``"mpicaffe"`` (model
+        parallel).
     cluster:
         A built :class:`~repro.hardware.Cluster`, or ``"A"``/``"B"`` to
         build the paper's testbed on a fresh simulator.
@@ -61,31 +75,29 @@ def train(framework: str, *, n_gpus: int,
     telemetry:
         Optional :class:`~repro.telemetry.TelemetrySession` for MPI_T
         introspection and metrics export (S-Caffe only).
+
+    Raises ``KeyError`` for an unknown framework and ``ValueError`` when
+    an S-Caffe-only argument is given to a comparator.
     """
+    name = _BY_SPELLING.get(framework.lower().replace("-", "")
+                            .replace("_", ""))
+    if name is None:
+        raise KeyError(
+            f"unknown framework {framework!r}; choose from {FRAMEWORK_NAMES}")
+    s_caffe_only = dict(adapter=adapter, recorder=recorder,
+                        telemetry=telemetry)
+    if name == "scaffe":
+        extra = dict(s_caffe_only, profile=profile)
+    else:
+        given = [k for k, v in s_caffe_only.items() if v is not None]
+        if given:
+            raise ValueError(
+                f"{', '.join(given)} only apply to S-Caffe ('scaffe'), "
+                f"not {framework!r}")
+        extra = {}
     cfg = config or TrainConfig()
     if isinstance(cluster, str):
         cluster = make_cluster(Simulator(), cluster)
-
-    key = framework.lower().replace("-", "").replace("_", "")
-    if key in ("scaffe", "s"):
-        return run_scaffe(cluster, n_gpus, cfg, profile=profile,
-                          workload=workload, adapter=adapter,
-                          tracer=tracer, recorder=recorder,
-                          telemetry=telemetry)
-    if key == "caffe":
-        return run_caffe(cluster, n_gpus, cfg, workload=workload,
-                         tracer=tracer)
-    if key in ("nvcaffe", "nvidiacaffe"):
-        return run_caffe(cluster, n_gpus, cfg, optimized=True,
-                         workload=workload, tracer=tracer)
-    if key == "cntk":
-        return run_cntk(cluster, n_gpus, cfg, workload=workload,
-                        tracer=tracer)
-    if key in ("inspur", "inspurcaffe", "paramserver", "ps"):
-        return run_param_server(cluster, n_gpus, cfg, workload=workload,
-                                tracer=tracer)
-    if key in ("mpicaffe", "modelparallel", "mp"):
-        return run_mpi_caffe(cluster, n_gpus, cfg, workload=workload,
-                             tracer=tracer)
-    raise KeyError(
-        f"unknown framework {framework!r}; choose from {FRAMEWORK_NAMES}")
+    runner = _FRAMEWORKS[name][0]
+    return runner(cluster, n_gpus, cfg, workload=workload, tracer=tracer,
+                  **extra)
