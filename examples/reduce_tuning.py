@@ -1,47 +1,24 @@
 #!/usr/bin/env python
-"""Hierarchical-reduce design space + autotuning (the Section 5 story).
+"""Hierarchical-reduce design space + offline tuning (the Section 5 story).
 
 Benchmarks MPI_Reduce designs at 160 simulated GPUs across message
 sizes — flat binomial, chunked chain, chain-binomial (CB-k) and
-chain-chain (CC-k) hierarchies — then runs the autotuner to build the
-HR (Tuned) selection table the way the MVAPICH2 tuning infrastructure
-does: by offline sweeps on the target system.
+chain-chain (CC-k) hierarchies — then picks the winner per size, which
+is how the MVAPICH2 tuning infrastructure builds the HR (Tuned)
+selection table: by offline sweeps on the target system.
 
 Run:  python examples/reduce_tuning.py
 """
 
-from repro.cuda import DeviceBuffer
 from repro.hardware import cluster_a
-from repro.mpi import MPIRuntime, MV2GDR
-from repro.mpi.collectives import (
-    autotune, hierarchical_reduce, reduce_binomial, reduce_chain,
-)
+from repro.mpi import MV2GDR
+from repro.mpi.omb import osu_reduce
 from repro.sim import Simulator
 
 P = 160
 KiB, MiB = 1 << 10, 1 << 20
 SIZES = (64 * KiB, 2 * MiB, 16 * MiB, 128 * MiB)
 DESIGNS = ("flat", "chain", "CB-8", "CC-8")
-
-
-def measure(design: str, nbytes: int) -> float:
-    cluster = cluster_a(Simulator())
-    rt = MPIRuntime(cluster, MV2GDR)
-    comm = rt.world(P)
-
-    def program(ctx):
-        sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-        recvbuf = DeviceBuffer(ctx.gpu, nbytes) if ctx.rank == 0 else None
-        if design == "flat":
-            yield from reduce_binomial(ctx, sendbuf, recvbuf, 0)
-        elif design == "chain":
-            yield from reduce_chain(ctx, sendbuf, recvbuf, 0)
-        else:
-            yield from hierarchical_reduce(ctx, sendbuf, recvbuf, 0,
-                                           config=design)
-        return ctx.sim.now
-
-    return max(rt.execute(comm, program))
 
 
 def fmt(nbytes):
@@ -51,18 +28,17 @@ def fmt(nbytes):
 print(f"MPI_Reduce latency at {P} GPUs (Cluster-A)\n")
 print(f"{'size':>6} | " + " | ".join(f"{d:>10}" for d in DESIGNS))
 print("-" * (9 + 13 * len(DESIGNS)))
+winners = {}
 for s in SIZES:
-    cells = []
-    for d in DESIGNS:
-        t = measure(d, s)
-        cells.append(f"{t * 1e3:8.2f}ms")
-    print(f"{fmt(s):>6} | " + " | ".join(f"{c:>10}" for c in cells))
+    times = {d: osu_reduce(lambda: cluster_a(Simulator()), s, P,
+                           profile=MV2GDR, design=d) for d in DESIGNS}
+    winners[s] = min(DESIGNS, key=times.get)
+    print(f"{fmt(s):>6} | "
+          + " | ".join(f"{times[d] * 1e3:8.2f}ms" for d in DESIGNS))
 
-print("\nAutotuning (offline sweep -> selection table):")
-table = autotune(lambda: cluster_a(Simulator()), P, SIZES, DESIGNS)
-for bound, design in table.entries:
-    rng = f"< {fmt(bound)}" if bound else "otherwise"
-    print(f"  {rng:>10} -> {design}")
+print("\nOffline sweep -> selection per size:")
+for s, design in winners.items():
+    print(f"  {fmt(s):>6} -> {design}")
 
 print("""
 The flat binomial wins small (latency-bound) messages; pipelined chain

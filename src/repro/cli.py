@@ -7,7 +7,6 @@ options like ``-scal weak``), adapted to the simulated stack::
                 --network googlenet --batch-size 1024 --scal strong
     repro osu --profile mv2gdr --design tuned --procs 160 --size 64M
     repro metrics --gpus 16 --network googlenet --out results/metrics
-    repro autotune --procs 160 --sizes 1M,16M,128M
     repro table1
     repro networks
 """
@@ -35,6 +34,16 @@ def _parse_size(text: str) -> int:
         raise argparse.ArgumentTypeError(f"bad size {text!r}")
 
 
+def _reduce_design(text: str) -> str:
+    """argparse ``type=`` for reduce-design names: a bad name is a usage
+    error (exit 2), caught before anything is simulated."""
+    from .mpi.collectives import validate_reduce_design
+    try:
+        return validate_reduce_design(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .core import FRAMEWORK_NAMES
     # The backend list comes from the profile registry, so a profile
@@ -60,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["strong", "weak"])
     t.add_argument("--variant", default="SC-OBR",
                    choices=["SC-B", "SC-OB", "SC-OB-naive", "SC-OBR"])
-    t.add_argument("--reduce-design", default="tuned")
+    t.add_argument("--reduce-design", default="tuned",
+                   type=_reduce_design)
     t.add_argument("--backend", default="lustre",
                    choices=["lustre", "lmdb"])
     t.add_argument("--profile", default="mv2gdr",
@@ -86,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--iterations", type=int, default=4)
     m.add_argument("--variant", default="SC-OB",
                    choices=["SC-B", "SC-OB", "SC-OB-naive", "SC-OBR"])
-    m.add_argument("--reduce-design", default="tuned")
+    m.add_argument("--reduce-design", default="tuned",
+                   type=_reduce_design)
     m.add_argument("--profile", default="mv2gdr",
                    choices=profiles)
     m.add_argument("--seed", type=int, default=1)
@@ -117,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--iterations", type=int, default=3)
     pr.add_argument("--variant", default="SC-OBR",
                     choices=["SC-B", "SC-OB", "SC-OB-naive", "SC-OBR"])
-    pr.add_argument("--reduce-design", default="tuned")
+    pr.add_argument("--reduce-design", default="tuned",
+                    type=_reduce_design)
     pr.add_argument("--profile", default="mv2gdr",
                     choices=profiles)
     pr.add_argument("--seed", type=int, default=None)
@@ -152,18 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--cluster", default="A", choices=["A", "B"])
     o.add_argument("--profile", default="mv2gdr",
                    choices=profiles)
-    o.add_argument("--design", default="tuned",
-                   help="tuned | flat | chain | CB-8 | CC-4 | CCB-8 | ...")
+    o.add_argument("--design", default="tuned", type=_reduce_design,
+                   help="tuned | flat | binomial | chain | CB-8 | CC-4 | "
+                        "CCB-8 | ...")
     o.add_argument("--procs", type=int, default=160)
     o.add_argument("--sizes", default="64K,1M,8M,64M",
                    help="comma-separated message sizes")
-
-    a = sub.add_parser("autotune",
-                       help="build a reduce tuning table by sweeping")
-    a.add_argument("--cluster", default="A", choices=["A", "B"])
-    a.add_argument("--procs", type=int, default=160)
-    a.add_argument("--sizes", default="64K,1M,8M,64M")
-    a.add_argument("--designs", default="flat,CB-8,CC-8")
 
     tu = sub.add_parser(
         "tune",
@@ -597,62 +603,20 @@ def _fmt_bytes(n: int) -> str:
     return str(n)
 
 
-def _osu_point(cluster_kind, profile, design, nbytes, procs) -> float:
-    from .cuda import DeviceBuffer
+def _cmd_osu(args) -> int:
     from .hardware import make_cluster
-    from .mpi import MPIRuntime
-    from .mpi.collectives import (
-        hierarchical_reduce, reduce_binomial, reduce_chain, tuned_reduce,
-    )
+    from .mpi.omb import osu_reduce
     from .sim import Simulator
 
-    cluster = make_cluster(Simulator(), cluster_kind)
-    rt = MPIRuntime(cluster, profile)
-    comm = rt.world(procs)
-
-    def program(ctx):
-        sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-        recvbuf = DeviceBuffer(ctx.gpu, nbytes) if ctx.rank == 0 else None
-        if design == "tuned":
-            yield from tuned_reduce(ctx, sendbuf, recvbuf, 0)
-        elif design == "flat":
-            yield from reduce_binomial(ctx, sendbuf, recvbuf, 0)
-        elif design == "chain":
-            yield from reduce_chain(ctx, sendbuf, recvbuf, 0)
-        else:
-            yield from hierarchical_reduce(ctx, sendbuf, recvbuf, 0,
-                                           config=design)
-        return ctx.sim.now
-
-    return max(rt.execute(comm, program))
-
-
-def _cmd_osu(args) -> int:
     sizes = [_parse_size(s) for s in args.sizes.split(",") if s.strip()]
     print(f"# MPI_Reduce, {args.procs} procs, profile={args.profile}, "
           f"design={args.design}, Cluster-{args.cluster}")
     print(f"{'size':>8}  {'latency':>14}")
     for nbytes in sizes:
-        t = _osu_point(args.cluster, args.profile, args.design, nbytes,
-                       args.procs)
+        t = osu_reduce(lambda: make_cluster(Simulator(), args.cluster),
+                       nbytes, args.procs, profile=args.profile,
+                       design=args.design)
         print(f"{_fmt_bytes(nbytes):>8}  {t * 1e6:12.1f} us")
-    return 0
-
-
-def _cmd_autotune(args) -> int:
-    from .hardware import make_cluster
-    from .mpi.collectives import autotune
-    from .sim import Simulator
-
-    sizes = [_parse_size(s) for s in args.sizes.split(",") if s.strip()]
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    table = autotune(lambda: make_cluster(Simulator(), args.cluster),
-                     args.procs, sizes, designs)
-    print(f"# tuned selection for {args.procs} procs on "
-          f"Cluster-{args.cluster}")
-    for bound, design in table.entries:
-        rng = f"< {_fmt_bytes(bound)}" if bound else "otherwise"
-        print(f"{rng:>12} -> {design}")
     return 0
 
 
@@ -831,7 +795,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "diff": _cmd_diff,
         "chaos": _cmd_chaos,
         "osu": _cmd_osu,
-        "autotune": _cmd_autotune,
         "tune": _cmd_tune,
         "crossover": _cmd_crossover,
         "check": _cmd_check,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..mpi.collectives.tuning import validate_reduce_design
+
 __all__ = ["TrainConfig"]
 
 
@@ -30,8 +32,9 @@ class TrainConfig:
     data_backend: str = "lustre"
     #: S-Caffe co-design level: "SC-B" | "SC-OB" | "SC-OB-naive" | "SC-OBR".
     variant: str = "SC-OBR"
-    #: Gradient-reduction design: "flat" (profile default binomial),
-    #: "tuned" (HR tuned selection), or an explicit HR label ("CB-8", ...).
+    #: Gradient-reduction design: "flat"/"binomial" (binomial tree),
+    #: "tuned" (HR tuned selection), "chain", or an explicit HR label
+    #: ("CB-8", ...).
     reduce_design: str = "tuned"
     #: Iterations actually simulated; total time extrapolates linearly to
     #: ``iterations`` (discrete-event runs are deterministic, so a short
@@ -61,6 +64,7 @@ class TrainConfig:
             raise ValueError(f"bad data_backend {self.data_backend!r}")
         if self.variant not in ("SC-B", "SC-OB", "SC-OB-naive", "SC-OBR"):
             raise ValueError(f"bad variant {self.variant!r}")
+        validate_reduce_design(self.reduce_design)
         if not 1 <= self.measure_iterations <= self.iterations:
             raise ValueError("need 1 <= measure_iterations <= iterations")
         if self.test_interval < 0 or self.test_batch < 1:

@@ -35,10 +35,7 @@ from ..mpi import (
     CollectiveTimeout, CommRevoked, MPIRuntime, MPIProfile, MV2GDR,
     RankContext, RankFailure, RequestTimeout, TransportTimeout,
 )
-from ..mpi.collectives import (
-    bcast_binomial, hierarchical_reduce, ibcast, reduce_binomial,
-    tuned_reduce,
-)
+from ..mpi.collectives import bcast_binomial, ibcast, reduce_design
 from ..sim import Channel, Event, Interrupt, Tracer
 from .config import TrainConfig
 from .job import TrainingJob, resolve_workload
@@ -487,13 +484,7 @@ class SCaffeJob(TrainingJob):
         """Gradient reduction to the root solver per the configured
         design; the root reduces in place (its contribution included)."""
         recv = buf if ctx.rank == 0 else None
-        design = self.cfg.reduce_design
-        if design == "flat":
-            yield from reduce_binomial(ctx, buf, recv, 0)
-        elif design == "tuned":
-            yield from tuned_reduce(ctx, buf, recv, 0)
-        else:
-            yield from hierarchical_reduce(ctx, buf, recv, 0, config=design)
+        yield from reduce_design(ctx, buf, recv, 0, self.cfg.reduce_design)
 
 
 def run_scaffe(cluster: Cluster, n_gpus: int, cfg: TrainConfig, *,

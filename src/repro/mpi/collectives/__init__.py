@@ -19,7 +19,7 @@ from .reduce import ireduce, reduce, reduce_binomial, reduce_chain
 from .resilient import resilient_reduce, shrink_context
 from .tuning import (
     CC_SCALING_LIMIT, CHAIN_THRESHOLD_BYTES, IDEAL_CHAIN_SIZE, ReducePlan,
-    TuningTable, autotune, select_reduce_plan, tuned_reduce,
+    reduce_design, select_reduce_plan, tuned_reduce, validate_reduce_design,
 )
 
 __all__ = [
@@ -34,6 +34,6 @@ __all__ = [
     "ireduce", "reduce", "reduce_binomial", "reduce_chain",
     "resilient_reduce", "shrink_context",
     "CC_SCALING_LIMIT", "CHAIN_THRESHOLD_BYTES", "IDEAL_CHAIN_SIZE",
-    "ReducePlan", "TuningTable", "autotune", "select_reduce_plan",
-    "tuned_reduce",
+    "ReducePlan", "reduce_design", "select_reduce_plan", "tuned_reduce",
+    "validate_reduce_design",
 ]

@@ -130,22 +130,13 @@ def osu_reduce(cluster_factory: ClusterFactory, nbytes: int, n_ranks: int,
                *, profile: MPIProfile | str = MV2GDR,
                design: str = "tuned") -> float:
     """osu_reduce: reduce-to-root latency under a named design
-    ("tuned" | "flat" | "chain" | HR labels like "CB-8"/"CCB-8")."""
-    from .collectives import (
-        hierarchical_reduce, reduce_binomial, reduce_chain, tuned_reduce,
-    )
+    ("tuned" | "flat" | "chain" | HR labels like "CB-8"/"CCB-8"; see
+    :func:`~repro.mpi.collectives.reduce_design`)."""
+    from .collectives import reduce_design
 
     def body(ctx, sendbuf, recvbuf):
         out = recvbuf if ctx.rank == 0 else None
-        if design == "tuned":
-            yield from tuned_reduce(ctx, sendbuf, out, 0)
-        elif design == "flat":
-            yield from reduce_binomial(ctx, sendbuf, out, 0)
-        elif design == "chain":
-            yield from reduce_chain(ctx, sendbuf, out, 0)
-        else:
-            yield from hierarchical_reduce(ctx, sendbuf, out, 0,
-                                           config=design)
+        yield from reduce_design(ctx, sendbuf, out, 0, design)
 
     return _collective_latency(cluster_factory, nbytes, n_ranks, profile,
                                body)

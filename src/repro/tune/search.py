@@ -152,29 +152,25 @@ def _run(sim, rt, P: int, program, objective: str) -> float:
 
 def _reduce_program(nbytes: int, design: Optional[str],
                     chunk_bytes: Optional[int]):
-    """``design`` None = the profile-default ``tuned_reduce`` dispatch;
+    """``design`` None = the profile-default "tuned" dispatch;
     "binomial"/"chain" run through the flat ``reduce()`` dispatcher so
     the ``coll.flat_reduce_algorithm`` cvar is load-bearing; HR labels
-    run :func:`hierarchical_reduce` directly."""
+    run through :func:`reduce_design`."""
     from ..cuda import DeviceBuffer
-    from ..mpi.collectives import (
-        hierarchical_reduce, reduce, tuned_reduce,
-    )
+    from ..mpi.collectives import reduce, reduce_design
 
     def program(ctx):
         sendbuf = DeviceBuffer(ctx.gpu, nbytes)
         recvbuf = DeviceBuffer(ctx.gpu, nbytes) if ctx.rank == 0 else None
-        if design is None:
-            yield from tuned_reduce(ctx, sendbuf, recvbuf, 0)
-        elif design == "chain" and chunk_bytes is not None:
+        if design == "chain" and chunk_bytes is not None:
             yield from reduce(ctx, sendbuf, recvbuf, 0,
                               chunk_bytes=chunk_bytes)
         elif design in ("binomial", "chain"):
             yield from reduce(ctx, sendbuf, recvbuf, 0)
         else:
-            yield from hierarchical_reduce(ctx, sendbuf, recvbuf, 0,
-                                           config=design,
-                                           chunk_bytes=chunk_bytes)
+            yield from reduce_design(ctx, sendbuf, recvbuf, 0,
+                                     design or "tuned",
+                                     chunk_bytes=chunk_bytes)
         return ctx.sim.now
 
     return program

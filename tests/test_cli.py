@@ -35,6 +35,26 @@ class TestParser:
             build_parser().parse_args(["train", "--framework",
                                        "tensorflow"])
 
+    @pytest.mark.parametrize("argv", [
+        ["osu", "--design", "CB8", "--procs", "4", "--sizes", "64K"],
+        ["train", "--reduce-design", "chian", "--gpus", "4",
+         "--network", "cifar10_quick", "--batch-size", "64",
+         "--iterations", "2"],
+        ["metrics", "--reduce-design", "CX-4", "--gpus", "4",
+         "--network", "cifar10_quick", "--batch-size", "64",
+         "--iterations", "2"],
+        ["profile", "--reduce-design", "bogus", "--gpus", "4",
+         "--model", "cifar10_quick", "--batch-size", "64",
+         "--iterations", "2"],
+    ])
+    def test_bad_reduce_design_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown reduce design" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -116,13 +136,6 @@ class TestCommands:
         rc = main(["osu", "--procs", "16", "--sizes", "1M",
                    "--design", "CB-4"])
         assert rc == 0
-
-    def test_autotune(self, capsys):
-        rc = main(["autotune", "--procs", "16", "--sizes", "64K,8M",
-                   "--designs", "flat,CB-4"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "->" in out
 
     def test_chaos_rank_crash(self, capsys):
         rc = main(["chaos", "--plan", "rank-crash", "--gpus", "16",

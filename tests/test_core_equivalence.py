@@ -79,8 +79,8 @@ def test_rank_counts(n_ranks):
                                rtol=1e-4, atol=1e-6)
 
 
-@pytest.mark.parametrize("reduce_design", ["flat", "tuned", "CB-4",
-                                           "CC-4"])
+@pytest.mark.parametrize("reduce_design", ["flat", "binomial", "chain",
+                                           "tuned", "CB-4", "CC-4"])
 def test_reduce_designs_agree(reduce_design):
     """Every reduction algorithm yields the same training trajectory."""
     adapter, _ = run_distributed("SC-OBR", n_ranks=8, iterations=3,

@@ -14,8 +14,8 @@ from repro.mpi import MPIRuntime, MV2, MV2GDR, OPENMPI
 from repro.mpi.collectives import (
     HRConfig, allreduce_ring, allreduce_reduce_bcast, bcast_binomial,
     bcast_flat, hierarchical_reduce, hr_plan, ibcast, ireduce,
-    parse_hr_config, reduce_binomial, reduce_chain, select_reduce_plan,
-    tuned_reduce,
+    parse_hr_config, reduce_binomial, reduce_chain, reduce_design,
+    select_reduce_plan, tuned_reduce,
 )
 from repro.sim import Simulator
 
@@ -355,6 +355,43 @@ class TestTunedReduce:
         got, expected = run_reduce(rt, comm, lambda c, s, r, root:
                                    tuned_reduce(c, s, r, root))
         np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5)
+
+
+class TestReduceDesign:
+    @pytest.mark.parametrize("design", ["tuned", "flat", "binomial", "chain",
+                                        "CB-4", "CC-4", "CCB-2"])
+    @pytest.mark.parametrize("root", [0, 5])
+    def test_every_design_sums(self, design, root):
+        rt, comm = runtime_for(16)
+        got, expected = run_reduce(
+            rt, comm, lambda c, s, r, rt_: reduce_design(c, s, r, rt_, design),
+            root=root)
+        np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5)
+
+    def test_chunk_bytes_reaches_explicit_design(self):
+        def latency(design, chunk_bytes):
+            rt, comm = runtime_for(8)
+
+            def program(ctx):
+                sendbuf = DeviceBuffer(ctx.gpu, 8 << 20)
+                recvbuf = (DeviceBuffer(ctx.gpu, 8 << 20)
+                           if ctx.rank == 0 else None)
+                yield from reduce_design(ctx, sendbuf, recvbuf, 0, design,
+                                         chunk_bytes=chunk_bytes)
+                return ctx.sim.now
+
+            return max(rt.execute(comm, program))
+
+        for design in ("chain", "CC-4"):
+            assert latency(design, 256 << 10) != latency(design, None)
+        # "tuned" resolves its own chunk: an explicit one is ignored.
+        assert latency("tuned", 256 << 10) == latency("tuned", None)
+
+    def test_unknown_design_rejected(self):
+        rt, comm = runtime_for(4)
+        with pytest.raises(ValueError):
+            run_reduce(rt, comm, lambda c, s, r, root:
+                       reduce_design(c, s, r, root, "CB8"))
 
 
 class TestIreduce:

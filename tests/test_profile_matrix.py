@@ -9,9 +9,6 @@ import pytest
 
 from repro import TrainConfig, train
 from repro.mpi import MV2, MV2GDR, OPENMPI, get_profile
-from repro.mpi.collectives import autotune
-from repro.hardware import cluster_a
-from repro.sim import Simulator
 
 VARIANTS = ("SC-B", "SC-OB", "SC-OBR")
 PROFILES = ("mv2gdr", "mv2", "openmpi")
@@ -73,26 +70,3 @@ class TestProfileRegistry:
         assert full == pytest.approx(OPENMPI.per_segment_sync)
         assert half == pytest.approx(OPENMPI.per_segment_sync / 2)
         assert MV2GDR.segment_sync_time(1 << 20) == 0.0
-
-
-class TestAutotuneUnit:
-    def test_picks_measured_minimum(self):
-        sizes = [64 << 10, 16 << 20]
-        designs = ["flat", "CB-4"]
-        table = autotune(lambda: cluster_a(Simulator(), n_nodes=2),
-                         16, sizes, designs)
-        # The table covers the whole size axis and ends open-ended.
-        assert table.entries[-1][0] is None
-        for s in (1, 64 << 10, 16 << 20, 1 << 30):
-            assert table.select(s) in designs
-
-    def test_adjacent_identical_winners_merge(self):
-        table = autotune(lambda: cluster_a(Simulator(), n_nodes=1),
-                         4, [1 << 10, 2 << 10], ["flat"])
-        assert len(table.entries) == 1
-        assert table.entries[0] == (None, "flat")
-
-    def test_empty_table_rejected(self):
-        from repro.mpi.collectives import TuningTable
-        with pytest.raises(ValueError):
-            TuningTable(8, [])

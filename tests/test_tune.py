@@ -33,11 +33,11 @@ def runtime_for(P, profile="mv2gdr", kind="a"):
     return rt, rt.world(P)
 
 
-def reduce_latency(rt, comm, nbytes, **kwargs):
+def reduce_latency(rt, comm, nbytes):
     def program(ctx):
         sendbuf = DeviceBuffer(ctx.gpu, nbytes)
         recvbuf = DeviceBuffer(ctx.gpu, nbytes) if ctx.rank == 0 else None
-        yield from tuned_reduce(ctx, sendbuf, recvbuf, 0, **kwargs)
+        yield from tuned_reduce(ctx, sendbuf, recvbuf, 0)
         return ctx.sim.now
     return max(rt.execute(comm, program))
 
@@ -158,14 +158,6 @@ class TestDispatchConsult:
         # picks the flat chain with the 4M profile segment — timings
         # must differ, proving the consult happened.
         assert tuned != default
-
-    def test_explicit_chain_size_bypasses_table(self, synthetic_tables):
-        rt, comm = runtime_for(4)
-        explicit = reduce_latency(rt, comm, 8 << 20, chain_size=2)
-        rt2, comm2 = runtime_for(4)
-        with tables.tables_disabled():
-            explicit_off = reduce_latency(rt2, comm2, 8 << 20, chain_size=2)
-        assert explicit == explicit_off
 
     def test_derived_profile_bypasses_table(self, synthetic_tables):
         # A CVAR-style derive (non-default value) must disable consult:
