@@ -13,7 +13,8 @@ from typing import Any, Generator, List, Sequence
 
 from ..sim import BandwidthLink, Event, Simulator
 
-__all__ = ["cut_through_time", "multi_link_transfer"]
+__all__ = ["acquisition_order", "cut_through_time", "hold_time",
+           "multi_link_transfer"]
 
 
 def cut_through_time(links: Sequence[BandwidthLink], nbytes: int) -> float:
@@ -26,6 +27,55 @@ def cut_through_time(links: Sequence[BandwidthLink], nbytes: int) -> float:
     lat = sum(l.latency for l in links)
     bw = min(l.bandwidth for l in links)
     return lat + nbytes / bw
+
+
+def acquisition_order(links: Sequence[BandwidthLink]) -> List[BandwidthLink]:
+    """The distinct links of a path in the global acquisition order (by
+    name), so concurrent multi-link holds cannot deadlock.
+
+    Duplicate links (loopback-style paths) collapse to one acquisition.
+    """
+    if len(links) == 2:
+        # Dominant case (PCIe pair, NIC tx/rx): dedup + name-sort inline.
+        a, b = links
+        if a is b:
+            return [a]
+        return [a, b] if a.name <= b.name else [b, a]
+    uniq = []
+    seen = set()
+    for l in links:
+        if id(l) not in seen:
+            seen.add(id(l))
+            uniq.append(l)
+    uniq.sort(key=lambda l: l.name)
+    return uniq
+
+
+def hold_time(sim: Simulator, links: Sequence[BandwidthLink], nbytes: int,
+              extra_time: float = 0.0) -> float:
+    """How long a cut-through transfer holds every link of its path.
+
+    The latency sum and bottleneck bandwidth run over ``links`` as given
+    (duplicates counted, matching :func:`cut_through_time`); the largest
+    per-link jitter scales the wire time by one draw; ``extra_time`` of
+    fixed software overhead is added on top.
+    """
+    jitter = 0.0
+    lat = 0.0
+    bw = None
+    for l in links:
+        lat += l.latency
+        lbw = l.bandwidth
+        if bw is None or lbw < bw:
+            bw = lbw
+        if l.jitter > jitter:
+            jitter = l.jitter
+    if nbytes < 0:
+        raise ValueError("nbytes must be >= 0")
+    duration = lat + nbytes / bw
+    if jitter:
+        duration *= sim.jitter_factor(jitter)
+    return duration + extra_time
 
 
 def multi_link_transfer(sim: Simulator, links: Sequence[BandwidthLink],
@@ -47,28 +97,9 @@ def multi_link_transfer(sim: Simulator, links: Sequence[BandwidthLink],
     """
     if not links:
         raise ValueError("need at least one link")
-    if len(links) == 2:
-        # Dominant case (PCIe pair, NIC tx/rx): dedup + name-sort inline.
-        a, b = links
-        if a is b:
-            uniq = [a]
-        elif a.name <= b.name:
-            uniq = [a, b]
-        else:
-            uniq = [b, a]
-    else:
-        uniq = []
-        seen = set()
-        for l in links:
-            if id(l) not in seen:
-                seen.add(id(l))
-                uniq.append(l)
-        uniq.sort(key=lambda l: l.name)
-
-    # Fault check, jitter, and the cut-through terms in one pass.  NB the
-    # latency sum and bottleneck bandwidth are over ``links`` (duplicates
-    # counted, matching cut_through_time); jitter/faults are per physical
-    # link.
+    uniq = acquisition_order(links)
+    # Fault check first: a down link or pending drop raises before any
+    # jitter is drawn or any wire is held.
     for l in uniq:
         check = l.check_fault
         if check is not None:
@@ -77,22 +108,7 @@ def multi_link_transfer(sim: Simulator, links: Sequence[BandwidthLink],
                 # Stalled link: the transfer parks forever instead of
                 # failing fast — only a watchdog interrupt releases it.
                 yield from l.stall_transfer(nbytes)
-    jitter = 0.0
-    lat = 0.0
-    bw = None
-    for l in links:
-        lat += l.latency
-        lbw = l.bandwidth
-        if bw is None or lbw < bw:
-            bw = lbw
-        if l.jitter > jitter:
-            jitter = l.jitter
-    if nbytes < 0:
-        raise ValueError("nbytes must be >= 0")
-    duration = lat + nbytes / bw
-    if jitter:
-        duration *= sim.jitter_factor(jitter)
-    duration += extra_time
+    duration = hold_time(sim, links, nbytes, extra_time)
     grants = []
     sid = None
     rec = sim.recorder

@@ -13,7 +13,7 @@ from .gather_scatter import (
     reduce_scatter_ring, scatter_binomial,
 )
 from .hierarchical import (
-    HRConfig, hierarchical_reduce, hr_plan, parse_hr_config,
+    HRConfig, hierarchical_reduce, hr_contexts, hr_plan, parse_hr_config,
 )
 from .reduce import ireduce, reduce, reduce_binomial, reduce_chain
 from .resilient import resilient_reduce, shrink_context
@@ -30,7 +30,8 @@ __all__ = [
     "ibcast",
     "allgather_ring", "block_partition", "block_plan", "gather_binomial",
     "reduce_scatter_ring", "scatter_binomial",
-    "HRConfig", "hierarchical_reduce", "hr_plan", "parse_hr_config",
+    "HRConfig", "hierarchical_reduce", "hr_contexts", "hr_plan",
+    "parse_hr_config",
     "ireduce", "reduce", "reduce_binomial", "reduce_chain",
     "resilient_reduce", "shrink_context",
     "CC_SCALING_LIMIT", "CHAIN_THRESHOLD_BYTES", "IDEAL_CHAIN_SIZE",

@@ -112,8 +112,6 @@ def coll_tags(ctx: RankContext, count: int, name: str = "") -> TagBlock:
     """
     count = max(1, count)
     comm = ctx.comm
-    if not hasattr(comm, "_coll_seq"):
-        comm._coll_seq = [0] * comm.size
     seq = comm._coll_seq[ctx.rank]
     units = -(-count // TAG_BLOCK)
     comm._coll_seq[ctx.rank] = seq + units

@@ -115,7 +115,7 @@ def ibcast(ctx: RankContext, buf: DeviceBuffer, root: int = 0) -> Request:
     the matching ``wait()`` — the behaviour that makes naive NBC designs
     degrade.
     """
-    req = Request(ctx.sim, label=f"ibcast root={root} r{ctx.rank}")
+    req = Request(ctx.sim, label=("ibcast", root, ctx.rank))
     # Reserve at call time (all ranks call ibcast in order), then hand the
     # block to the deferred/async body so it skips its own reservation.
     tags = coll_tags(ctx, 1, "bcast.binomial")

@@ -17,7 +17,7 @@ collective must observe the *same* objects.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...cuda import DeviceBuffer
 from ...sim import Event
@@ -25,7 +25,8 @@ from ..communicator import Communicator, RankContext
 from .base import local_accumulate_copy, traced, validate_knob
 from .reduce import reduce_binomial, reduce_chain
 
-__all__ = ["hierarchical_reduce", "hr_plan", "HRConfig", "parse_hr_config"]
+__all__ = ["hierarchical_reduce", "hr_plan", "hr_contexts", "HRConfig",
+           "parse_hr_config"]
 
 
 class HRConfig:
@@ -114,6 +115,34 @@ def hr_plan(comm: Communicator, root: int, chain_size: int
     return cache[key]
 
 
+def hr_contexts(comm: Communicator, root: int, chain_size: int,
+                ) -> Dict[Any, Tuple[RankContext, Optional[RankContext]]]:
+    """Each member GPU's ``(lower, upper)`` :class:`RankContext` under
+    :func:`hr_plan`'s structure (``upper`` is None for non-leaders).
+
+    Cached next to the plan.  A context snapshots the runtime profile
+    when it is created, so the map is rebuilt after a profile swap
+    (an MPI_T CVAR write), exactly as fresh per-call contexts would be.
+    """
+    cache = getattr(comm, "_hr_contexts", None)
+    if cache is None:
+        cache = comm._hr_contexts = {}
+    key = (root, chain_size)
+    profile = comm.runtime.profile
+    hit = cache.get(key)
+    if hit is not None and hit[0] is profile:
+        return hit[1]
+    lower_comms, upper_comm, _leaders = hr_plan(comm, root, chain_size)
+    contexts: Dict[Any, Tuple[RankContext, Optional[RankContext]]] = {}
+    for lc in lower_comms:
+        for r, gpu in enumerate(lc.gpus):
+            contexts[gpu] = (lc.context(r), None)
+    for r, gpu in enumerate(upper_comm.gpus):
+        contexts[gpu] = (contexts[gpu][0], upper_comm.context(r))
+    cache[key] = (profile, contexts)
+    return contexts
+
+
 def _flat(ctx: RankContext, algo_name: str, sendbuf, recvbuf, root,
           chunk_bytes) -> Generator[Event, Any, None]:
     if algo_name == "chain":
@@ -141,16 +170,8 @@ def _multilevel(ctx: RankContext, sendbuf: DeviceBuffer,
         yield from _flat(ctx, algo, sendbuf, recvbuf, root, chunk_bytes)
         return
 
-    lower_comms, upper_comm, leaders = hr_plan(comm, root, chain_size)
-
     # --- this level: reduce within my chain to its leader ------------------
-    my_lower = None
-    for lc in lower_comms:
-        sub = ctx.sub_context(lc)
-        if sub is not None:
-            my_lower = sub
-            break
-    assert my_lower is not None, "rank missing from HR plan"
+    my_lower, up = hr_contexts(comm, root, chain_size)[ctx.gpu]
 
     i_am_leader = my_lower.rank == 0
     # Leaders accumulate this level's result into a staging buffer (the
@@ -165,8 +186,6 @@ def _multilevel(ctx: RankContext, sendbuf: DeviceBuffer,
             return
 
         # --- remaining levels among the leaders -----------------------------
-        up = ctx.sub_context(upper_comm)
-        assert up is not None
         is_global_root = (comm.gpus[root] is ctx.gpu)
         out = recvbuf if is_global_root else None
         yield from _multilevel(up, lower_out, out, 0, levels[1:],

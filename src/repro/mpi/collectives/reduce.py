@@ -260,7 +260,7 @@ def ireduce(ctx: RankContext, sendbuf: DeviceBuffer,
     deferred to the first ``wait()`` call.  This is precisely why S-Caffe
     needs the helper-thread co-design (SC-OBR) instead of Ireduce.
     """
-    req = Request(ctx.sim, label=f"ireduce root={root} r{ctx.rank}")
+    req = Request(ctx.sim, label=("ireduce", root, ctx.rank))
 
     def deferred():
         def run():

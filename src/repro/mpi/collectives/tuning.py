@@ -22,7 +22,7 @@ from ...cuda import DeviceBuffer
 from ...sim import Event
 from ...tune import tables
 from ..communicator import RankContext
-from ..profiles import is_stock_profile
+from ..profiles import is_stock_profile, registered_profile
 from .hierarchical import hierarchical_reduce, parse_hr_config
 from .reduce import reduce_binomial, reduce_chain
 
@@ -86,8 +86,9 @@ def _table_knobs(ctx: RankContext, nbytes: int):
 
     Stock profiles only: any CVAR write derives a new profile that no
     longer equals its registered original, and an explicit MPI_T write
-    must always win over the offline table.  The gate runs on every
-    call, so CVAR writes and ``tables_disabled()`` take effect at once.
+    must always win over the offline table.  :func:`_tuned_choice`'s
+    memo is stamped with everything this gate reads, so CVAR writes and
+    ``tables_disabled()`` take effect at once.
     """
     if not tables.enabled() or not is_stock_profile(ctx.profile):
         return None
@@ -114,14 +115,32 @@ def _tuned_choice(ctx: RankContext, nbytes: int
         # at worst.  Degrade gracefully rather than tune for a topology
         # that no longer exists.
         return "binomial", None
+    # Memoized per communicator: past the watchdog, the choice is a pure
+    # function of the profile object, the registry entry its stock gate
+    # compares against, whether tables are on, which parsed tables are
+    # loaded, and nbytes.  A CVAR write swaps the profile object and
+    # tables_disabled()/invalidate_cache() move the last two, so each
+    # of them misses the memo at once.
+    profile = ctx.profile
+    stamp = (profile, registered_profile(profile.name), tables.enabled(),
+             tables.generation())
+    memo = getattr(ctx.comm, "_tuned_memo", None)
+    if memo is None:
+        memo = ctx.comm._tuned_memo = {}
+    hit = memo.get(nbytes)
+    if hit is not None and hit[0] == stamp:
+        return hit[1]
     knobs = _table_knobs(ctx, nbytes)
     if knobs is not None:
-        return knobs.get("design"), knobs.get("chunk_bytes")
-    # The profile's chain size, so the MPI_T cvar (coll.chain_size)
-    # steers the decision table without threading an argument.
-    plan = select_reduce_plan(ctx.size, nbytes,
-                              chain_size=ctx.profile.chain_size)
-    return plan.label, None
+        choice = knobs.get("design"), knobs.get("chunk_bytes")
+    else:
+        # The profile's chain size, so the MPI_T cvar (coll.chain_size)
+        # steers the decision table without threading an argument.
+        plan = select_reduce_plan(ctx.size, nbytes,
+                                  chain_size=profile.chain_size)
+        choice = plan.label, None
+    memo[nbytes] = (stamp, choice)
+    return choice
 
 
 def validate_reduce_design(design: str) -> str:

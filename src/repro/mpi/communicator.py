@@ -18,11 +18,12 @@ import numpy as np
 
 from ..cuda import CudaRuntime, DeviceBuffer
 from ..hardware.gpu import GPUDevice
+from ..hardware.topology import acquisition_order, hold_time
 from ..sim import Barrier, Event, Interrupt, Simulator
 from .failure import CommRevoked, RankFailure
 from .profiles import MPIProfile
 from .request import ANY_SOURCE, ANY_TAG, Request
-from .transport import TransportTimeout
+from .transport import CutThrough, TransportTimeout
 
 __all__ = ["Communicator", "RankContext", "MessageStatus"]
 
@@ -68,6 +69,105 @@ class _PostedRecv:
         self.request = request
 
 
+class _DirectTransfer:
+    """A matched message on a cut-through path, driven by callbacks.
+
+    The process-free twin of :meth:`Communicator._start_transfer`'s
+    mover, for the paths :meth:`DeviceTransport.direct_route` admits.
+    It requests the links in :func:`multi_link_transfer`'s order (an
+    inline grant continues at once, a queued one from a callback on the
+    request event), posts the one hold timeout, and at expiry releases,
+    delivers and completes both requests — the mover's event sequence,
+    minus the generator stack.  Like a mover it sits in ``_inflight``
+    and answers ``is_alive``/``interrupt`` for :meth:`Communicator.revoke`.
+    """
+
+    __slots__ = ("comm", "send", "recv", "links", "grants", "duration",
+                 "_wait")
+
+    def __init__(self, comm: "Communicator", send: _PendingSend,
+                 recv: _PostedRecv, path: CutThrough):
+        self.comm = comm
+        self.send = send
+        self.recv = recv
+        comm.runtime.transport.note_path(path, send.nbytes)
+        self.links = acquisition_order(path.links)
+        self.grants: List[int] = []
+        self.duration = hold_time(comm.sim, path.links, send.nbytes,
+                                  path.extra)
+        #: The event whose callback drives the next step: the queued
+        #: link request, then the hold timeout; None once finished.
+        self._wait: Optional[Event] = None
+        self._acquire()
+
+    @property
+    def is_alive(self) -> bool:
+        return self._wait is not None
+
+    def _acquire(self) -> None:
+        links = self.links
+        grants = self.grants
+        n = self.send.nbytes
+        while len(grants) < len(links):
+            link = links[len(grants)]
+            req = link._res.request()
+            if req.callbacks is not None:
+                self._wait = req
+                req.callbacks.append(self._granted)
+                return
+            grants.append(req._value)
+            link.messages += 1
+            link.bytes_moved += n
+        self._wait = hold = self.comm.sim.timeout(self.duration)
+        hold.callbacks.append(self._expire)
+
+    def _granted(self, req: Event) -> None:
+        link = self.links[len(self.grants)]
+        self.grants.append(req._value)
+        link.messages += 1
+        link.bytes_moved += self.send.nbytes
+        self._acquire()
+
+    def _release(self) -> None:
+        for link, grant in zip(self.links, self.grants):
+            link._res.release(grant)
+
+    def _expire(self, _hold: Event) -> None:
+        self._wait = None
+        self._release()
+        send, recv = self.send, self.recv
+        comm = self.comm
+        comm.runtime.transport.deliver(
+            send.buf, recv.buf, send.nbytes, send.offset, recv.offset,
+            send.snapshot)
+        comm._inflight.pop(self, None)
+        status = MessageStatus(send.src_rank, send.tag, send.nbytes)
+        if not send.eager and not send.request.completed:
+            send.request.complete(status)
+        if not recv.request.completed:
+            recv.request.complete(status)
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Abort, as :meth:`Process.interrupt` aborts a mover: stop
+        waiting now, clean up from one urgent event."""
+        wait = self._wait
+        cbs = wait.callbacks
+        if cbs is not None:
+            cbs.remove(self._granted if len(self.grants) < len(self.links)
+                       else self._expire)
+        ev = self.comm.sim.event()
+        ev.callbacks.append(self._abort)
+        ev.succeed()
+
+    def _abort(self, _ev: Event) -> None:
+        if len(self.grants) < len(self.links):
+            # Withdraw the queued request (or hand back a grant issued
+            # to it since the interrupt).
+            self.links[len(self.grants)]._res.cancel(self._wait)
+        self._release()
+        self._wait = None
+
+
 class Communicator:
     """A group of ranks mapped onto GPUs, with its own matching space.
 
@@ -98,12 +198,12 @@ class Communicator:
         self._coll_seq = [0] * len(gpus)
         self._revoked: Optional[BaseException] = None
         self._shrunk: Dict[Tuple[int, ...], "Communicator"] = {}
-        # Matched pairs whose transfer is in flight (mover process ->
-        # (send, recv)).  Queued operations live in _posted/_unexpected;
-        # once matched they exist only here, and revoke() must fail them
-        # too — a transfer parked on a stalled link never completes on
-        # its own, and ULFM revocation promises *every* pending
-        # operation errors out.
+        # Matched pairs whose transfer is in flight (mover process or
+        # _DirectTransfer handle -> (send, recv)).  Queued operations
+        # live in _posted/_unexpected; once matched they exist only
+        # here, and revoke() must fail them too — a transfer parked on
+        # a stalled link never completes on its own, and ULFM
+        # revocation promises *every* pending operation errors out.
         self._inflight: Dict[Any, Tuple[_PendingSend, _PostedRecv]] = {}
         runtime.failure_detector.register_comm(self)
 
@@ -141,9 +241,9 @@ class Communicator:
                     send.request.fail(wrapped)
             q.clear()
         # Matched pairs mid-transfer: fail their requests and interrupt
-        # the mover — a transfer parked on a stalled link would
-        # otherwise hold its receiver hostage forever, invisible to the
-        # queue sweeps above.
+        # the mover or direct handle — a transfer parked on a stalled
+        # link would otherwise hold its receiver hostage forever,
+        # invisible to the queue sweeps above.
         for proc, (send, recv) in list(self._inflight.items()):
             if not send.eager and not send.request.completed:
                 send.request.fail(wrapped)
@@ -229,6 +329,12 @@ class Communicator:
             return
 
         transport = self.runtime.transport
+        path = transport.direct_route(send.buf, recv.buf, send.nbytes,
+                                      send.offset, recv.offset)
+        if path is not None:
+            direct = _DirectTransfer(self, send, recv, path)
+            self._inflight[direct] = (send, recv)
+            return
 
         # Registration cell: filled after the (eager) spawn returns, so
         # a mover that somehow finishes inline deregisters a no-op.

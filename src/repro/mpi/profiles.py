@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, replace
-from typing import List
+from typing import List, Optional
 
 __all__ = ["MPIProfile", "NCCLProfile", "MV2GDR", "MV2", "OPENMPI", "NCCL",
            "get_profile", "is_stock_profile", "profile_names",
-           "register_profile"]
+           "register_profile", "registered_profile"]
 
 KiB = 1 << 10
 MiB = 1 << 20
@@ -217,6 +217,12 @@ def profile_names() -> List[str]:
     return list(_PROFILES)
 
 
+def registered_profile(name: str) -> Optional[MPIProfile]:
+    """The registry's current entry for ``name`` (exact, normalized
+    name), or None."""
+    return _PROFILES.get(name)
+
+
 def is_stock_profile(profile: MPIProfile) -> bool:
     """True when ``profile`` still equals its registered original.
 
@@ -225,7 +231,7 @@ def is_stock_profile(profile: MPIProfile) -> bool:
     consult uses: an explicitly hand-tuned profile must never be
     second-guessed by an offline table (explicit MPI_T writes win).
     """
-    base = _PROFILES.get(profile.name)
+    base = registered_profile(profile.name)
     return base is not None and base == profile
 
 

@@ -23,20 +23,21 @@ the event model rather than a closed-form guess.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Generator, Optional
+from typing import Any, Generator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..cuda import CudaRuntime, DeviceBuffer, HostBuffer
 from ..hardware import Cluster, multi_link_transfer
+from ..hardware.gpu import GPUDevice
 from ..hardware.faults import LinkDownError, MessageDropped, TransportFault
-from ..sim import Event
+from ..sim import BandwidthLink, Event
 from ..sim.resources import pipeline_exit_times
 from ..telemetry.metrics import MetricsRegistry
 from .profiles import MPIProfile
 
-__all__ = ["DeviceTransport", "TransportTimeout", "TransportMetrics",
-           "ChecksumError", "IntegrityError"]
+__all__ = ["DeviceTransport", "CutThrough", "TransportTimeout",
+           "TransportMetrics", "ChecksumError", "IntegrityError"]
 
 
 class TransportTimeout(RuntimeError):
@@ -177,6 +178,22 @@ class TransportMetrics:
         self._stagings.dec()
 
 
+class CutThrough(NamedTuple):
+    """A single-hold path: every link is held at once for one cut-through
+    duration (CUDA IPC inside a node, GPUDirect RDMA between nodes)."""
+
+    #: Links in path order; the latency sum and bottleneck run over them.
+    links: Tuple[BandwidthLink, ...]
+    #: Fixed wire time added to the hold (copy/message overhead, GDR cap).
+    extra: float
+    #: Transport path label for telemetry: ``"ipc"`` or ``"gdr"``.
+    kind: str
+    #: Span kind of the hold under a profiler: ``"p2p"`` or ``"rdma"``.
+    span: str
+    #: True when the mechanism itself copies the payload (IPC).
+    moved: bool
+
+
 class DeviceTransport:
     """Moves bytes between device buffers according to an MPI profile.
 
@@ -227,23 +244,7 @@ class DeviceTransport:
         quiet fabric the integrity layer costs one attribute load and
         adds zero simulated events.
         """
-        if src_offset < 0 or dst_offset < 0:
-            raise ValueError(
-                f"negative offset (src_offset={src_offset}, "
-                f"dst_offset={dst_offset})")
-        if src_offset > src.nbytes or dst_offset > dst.nbytes:
-            raise ValueError(
-                f"offset beyond buffer: src_offset={src_offset} of "
-                f"{src.nbytes}, dst_offset={dst_offset} of {dst.nbytes}")
-        n = min(src.nbytes - src_offset,
-                dst.nbytes - dst_offset) if nbytes is None else nbytes
-        if n < 0:
-            raise ValueError("negative transfer size")
-        if src_offset + n > src.nbytes or dst_offset + n > dst.nbytes:
-            raise ValueError(
-                f"transfer of {n} bytes over-reads: src has "
-                f"{src.nbytes - src_offset} past offset, dst has "
-                f"{dst.nbytes - dst_offset}")
+        n = self._span(src, dst, nbytes, src_offset, dst_offset)
         rec = self.sim.recorder
         if rec is not None:
             # One logical message per transfer call (retries not
@@ -255,12 +256,12 @@ class DeviceTransport:
         while True:
             try:
                 if armed and n:
-                    corrupted = self._consume_corruption(src, dst)
+                    corrupted = self._consume_corruption(src, dst, n)
                 moved = yield from self._transfer_once(
                     src, dst, n, src_offset, dst_offset)
                 if armed:
-                    self._deliver(src, dst, n, src_offset, dst_offset,
-                                  payload, moved, corrupted)
+                    self.deliver(src, dst, n, src_offset, dst_offset,
+                                 payload, moved, corrupted)
                     self._verify(src, dst, n, src_offset, dst_offset,
                                  payload, corrupted)
                 break
@@ -291,22 +292,120 @@ class DeviceTransport:
                               self.RETRY_MAX)
                 yield self.sim.timeout(backoff)
         if not armed:
-            if not moved:
-                dst.copy_payload_from(src, nbytes=n, src_offset=src_offset,
-                                      dst_offset=dst_offset)
-            if payload is not None and dst.data is not None:
-                dst.data.view(np.uint8)[dst_offset:dst_offset + n] = payload
+            self.deliver(src, dst, n, src_offset, dst_offset, payload,
+                         moved)
         elif corrupted:
             # Reachable only if _verify let a corrupted delivery through
             # (e.g. the mutation self-test disabling it): the exact
             # failure mode the chaos gate exists to keep at zero.
             self.metrics.count_silent_corruption()
 
+    def _span(self, src: DeviceBuffer, dst: DeviceBuffer,
+              nbytes: Optional[int], src_offset: int, dst_offset: int,
+              ) -> int:
+        """Validate a transfer's offsets and size; returns the byte count."""
+        if src_offset < 0 or dst_offset < 0:
+            raise ValueError(
+                f"negative offset (src_offset={src_offset}, "
+                f"dst_offset={dst_offset})")
+        if src_offset > src.nbytes or dst_offset > dst.nbytes:
+            raise ValueError(
+                f"offset beyond buffer: src_offset={src_offset} of "
+                f"{src.nbytes}, dst_offset={dst_offset} of {dst.nbytes}")
+        n = min(src.nbytes - src_offset,
+                dst.nbytes - dst_offset) if nbytes is None else nbytes
+        if n < 0:
+            raise ValueError("negative transfer size")
+        if src_offset + n > src.nbytes or dst_offset + n > dst.nbytes:
+            raise ValueError(
+                f"transfer of {n} bytes over-reads: src has "
+                f"{src.nbytes - src_offset} past offset, dst has "
+                f"{dst.nbytes - dst_offset}")
+        return n
+
+    def cut_through(self, a: GPUDevice, b: GPUDevice, nbytes: int,
+                    ) -> Optional[CutThrough]:
+        """The cut-through path an ``nbytes`` transfer from GPU ``a`` to
+        GPU ``b`` takes, or None for a same-device copy or a staged
+        (host-bounced) path.
+
+        The one routing rule for IPC and GDR: :meth:`_transfer_once`,
+        :meth:`_path_links`, :meth:`estimate` and the communicator's
+        process-free messages all read it.
+        """
+        if a is b:
+            return None
+        profile = self.profile
+        cal = self.cal
+        if a.node_index == b.node_index:
+            if not profile.ipc:
+                return None
+            return CutThrough((a.pcie_up, b.pcie_down),
+                              cal.cuda_copy_overhead, "ipc", "p2p", True)
+        if not profile.gdr or nbytes > profile.gdr_threshold:
+            return None
+        # GPUDirect RDMA: PCIe(src) -> NIC(src) -> NIC(dst) -> PCIe(dst).
+        # The GDR read-bandwidth cap inflates the wire time to
+        # ``nbytes / gdr_read_bw`` when that exceeds the raw cut-through.
+        cluster = self.cluster
+        links = (a.pcie_up, cluster.node_of(a).nic_for(a).tx,
+                 cluster.node_of(b).nic_for(b).rx, b.pcie_down)
+        raw_bw = min(l.bandwidth for l in links)
+        extra = 0.0
+        if cal.gdr_read_bw < raw_bw:
+            extra = nbytes / cal.gdr_read_bw - nbytes / raw_bw
+        return CutThrough(links, extra + cal.mpi_message_overhead,
+                          "gdr", "rdma", False)
+
+    def direct_route(self, src: DeviceBuffer, dst: DeviceBuffer, n: int,
+                     src_offset: int, dst_offset: int,
+                     ) -> Optional[CutThrough]:
+        """The path of a message that may move without a process, or None.
+
+        Eligible: a cut-through path, no profiler installed, no fault
+        links armed and no fault hook on the path, and a valid byte
+        range.  Such a transfer is one hold with nothing to retry,
+        verify or record, so a callback state machine realizes the
+        mover's exact event sequence (see docs/PERFORMANCE.md).  A bad
+        range returns None: the mover raises it where it always has.
+        """
+        if self.sim.recorder is not None or self.cluster.fault_links_armed:
+            return None
+        path = self.cut_through(src.device, dst.device, n)
+        if path is None:
+            return None
+        for link in path.links:
+            if link.check_fault is not None:
+                return None
+        try:
+            self._span(src, dst, n, src_offset, dst_offset)
+        except ValueError:
+            return None
+        return path
+
+    def note_path(self, path: CutThrough, n: int) -> None:
+        """Telemetry hooks of one cut-through transfer."""
+        tel = self.sim.telemetry
+        if tel is not None:
+            tel.on_transfer_path(path.kind, n)
+            if path.kind == "ipc":
+                tel.on_cuda_copy("p2p", n)
+
     def _transfer_once(self, src: DeviceBuffer, dst: DeviceBuffer, n: int,
                        src_offset: int, dst_offset: int,
                        ) -> Generator[Event, Any, bool]:
         """One transfer attempt; returns True if the payload already moved
         (the p2p mechanism copies it as part of the operation)."""
+        path = self.cut_through(src.device, dst.device, n)
+        if path is not None:
+            self.note_path(path, n)
+            yield from multi_link_transfer(
+                self.sim, path.links, n, extra_time=path.extra,
+                kind=path.span)
+            if path.moved:
+                dst.copy_payload_from(src, nbytes=n, src_offset=src_offset,
+                                      dst_offset=dst_offset)
+            return path.moved
         a, b = src.device, dst.device
         tel = self.sim.telemetry
         if a is b:
@@ -314,36 +413,26 @@ class DeviceTransport:
                 tel.on_transfer_path("d2d", n)
             yield from self.cuda.memcpy_d2d(a, n)
         elif self.cluster.same_node(a, b):
-            if self.profile.ipc:
-                if tel is not None:
-                    tel.on_transfer_path("ipc", n)
-                yield from self.cuda.memcpy_p2p(
-                    src, dst, n, src_offset=src_offset, dst_offset=dst_offset)
-                return True
             if tel is not None:
                 tel.on_transfer_path("staged_intra", n)
             yield from self._staged_intra_node(src, dst, n)
         else:
-            if self.profile.gdr and n <= self.profile.gdr_threshold:
-                if tel is not None:
-                    tel.on_transfer_path("gdr", n)
-                yield from self._gdr_inter_node(src, dst, n)
-            else:
-                if tel is not None:
-                    tel.on_transfer_path("staged_inter", n)
-                yield from self._staged_inter_node(src, dst, n)
+            if tel is not None:
+                tel.on_transfer_path("staged_inter", n)
+            yield from self._staged_inter_node(src, dst, n)
         return False
 
     # -- integrity layer ---------------------------------------------------
-    def _path_links(self, src: DeviceBuffer, dst: DeviceBuffer):
+    def _path_links(self, src: DeviceBuffer, dst: DeviceBuffer, n: int):
         """The links a (src, dst) transfer traverses, for corruption
-        attribution.  Mirrors the routing in :meth:`_transfer_once`."""
+        attribution: the cut-through path, else the staged route."""
+        path = self.cut_through(src.device, dst.device, n)
+        if path is not None:
+            return path.links
         a, b = src.device, dst.device
         if a is b:
             return ()
         if self.cluster.same_node(a, b):
-            if self.profile.ipc:
-                return (a.pcie_up, b.pcie_down)
             node = self.cluster.node_of(a)
             return (a.pcie_up, node.host_memcpy, b.pcie_down)
         nic_a = self.cluster.node_of(a).nic_for(a)
@@ -351,24 +440,26 @@ class DeviceTransport:
         return (a.pcie_up, nic_a.tx, nic_b.rx, b.pcie_down)
 
     def _consume_corruption(self, src: DeviceBuffer, dst: DeviceBuffer,
-                            ) -> bool:
+                            n: int) -> bool:
         """Consume at most one pending payload corruption on the path.
 
         Runs synchronously at attempt start (no yields between consuming
         the flag and the attempt it applies to), so concurrent transfers
         on other links cannot be mis-attributed the flip.
         """
-        for link in self._path_links(src, dst):
+        for link in self._path_links(src, dst, n):
             hook = link.consume_corruption
             if hook is not None and hook():
                 return True
         return False
 
-    def _deliver(self, src: DeviceBuffer, dst: DeviceBuffer, n: int,
-                 src_offset: int, dst_offset: int,
-                 payload: Optional[np.ndarray], moved: bool,
-                 corrupted: bool) -> None:
-        """Materialize one attempt's delivered bytes into ``dst``.
+    def deliver(self, src: DeviceBuffer, dst: DeviceBuffer, n: int,
+                src_offset: int, dst_offset: int,
+                payload: Optional[np.ndarray], moved: bool = False,
+                corrupted: bool = False) -> None:
+        """Materialize one attempt's delivered bytes into ``dst``: the
+        frozen ``payload`` when given, else the source range unless the
+        mechanism already ``moved`` it.
 
         Idempotent across retransmits: each attempt rewrites the range
         from the source of truth, then applies this attempt's wire
@@ -418,38 +509,21 @@ class DeviceTransport:
         """Closed-form uncontended estimate (used by tuning tables)."""
         if src_gpu is dst_gpu:
             return self.cal.cuda_copy_overhead + nbytes / src_gpu.spec.membw
+        path = self.cut_through(src_gpu, dst_gpu, nbytes)
+        if path is not None and path.kind == "ipc":
+            return (self.cal.cuda_copy_overhead
+                    + 2 * self.cal.pcie_latency
+                    + nbytes / self.cal.pcie_bw)
         if self.cluster.same_node(src_gpu, dst_gpu):
-            if self.profile.ipc:
-                return (self.cal.cuda_copy_overhead
-                        + 2 * self.cal.pcie_latency
-                        + nbytes / self.cal.pcie_bw)
             return self._staged_estimate(nbytes, wire_bw=self.cal.pcie_bw)
         nic_bw = self.cluster.node_of(src_gpu).nic_for(src_gpu).bandwidth
-        if self.profile.gdr and nbytes <= self.profile.gdr_threshold:
+        if path is not None:
             bw = min(self.cal.pcie_bw, nic_bw, self.cal.gdr_read_bw)
             return (2 * self.cal.pcie_latency + 2 * self.cal.ib_latency
                     + nbytes / bw)
         return self._staged_estimate(nbytes, wire_bw=nic_bw)
 
     # -- mechanisms ------------------------------------------------------------
-    def _gdr_inter_node(self, src: DeviceBuffer, dst: DeviceBuffer,
-                        nbytes: int) -> Generator[Event, Any, None]:
-        """GPUDirect RDMA: PCIe(src) -> NIC(src) -> NIC(dst) -> PCIe(dst).
-
-        The GDR read-bandwidth cap is modeled by inflating the wire time
-        to ``nbytes / gdr_read_bw`` when that exceeds the raw cut-through.
-        """
-        a, b = src.device, dst.device
-        links = [a.pcie_up, self.cluster.node_of(a).nic_for(a).tx,
-                 self.cluster.node_of(b).nic_for(b).rx, b.pcie_down]
-        raw_bw = min(l.bandwidth for l in links)
-        extra = 0.0
-        if self.cal.gdr_read_bw < raw_bw:
-            extra = nbytes / self.cal.gdr_read_bw - nbytes / raw_bw
-        yield from multi_link_transfer(
-            self.sim, links, nbytes,
-            extra_time=extra + self.cal.mpi_message_overhead, kind="rdma")
-
     def _staged_chunks(self, nbytes: int) -> list:
         chunk = self.profile.pipeline_chunk
         offsets = list(range(0, nbytes, chunk)) or [0]

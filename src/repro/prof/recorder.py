@@ -16,8 +16,12 @@ whose completion allowed it to start:
   a predecessor of the waiter's next step).
 
 Recording is strictly passive: it never creates simulator events, so a
-run with a recorder installed is event-for-event (and bit-for-bit)
-identical to a run without one.
+run with a recorder installed reaches bit-for-bit identical simulated
+times.  Its presence does change two runtime paths, both without moving
+any timestamp: a process spawned with ``eager=True`` starts through a
+kick event instead of inline (so the event count grows by one per such
+spawn), and matched point-to-point messages on IPC/GDR paths run as
+mover processes instead of process-free callbacks.
 
 The recorder is installed by constructing it on a simulator
 (``SpanRecorder(sim)`` sets ``sim.recorder``); every instrumentation

@@ -43,7 +43,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 __all__ = ["TunedTable", "TABLE_VERSION", "tables_dir", "table_path",
            "table_filename", "load_table", "lookup", "topology_key",
            "comm_topology", "set_enabled", "enabled", "tables_disabled",
-           "invalidate_cache"]
+           "invalidate_cache", "generation"]
 
 #: Bump when the on-disk entry schema changes; readers skip newer files.
 TABLE_VERSION = 1
@@ -55,6 +55,9 @@ _DEFAULT_DIR = os.path.join(os.path.dirname(os.path.dirname(
 _enabled = True
 #: (backend, collective) -> TunedTable | None (None caches a miss).
 _cache: Dict[Tuple[str, str], Optional["TunedTable"]] = {}
+#: Bumped by invalidate_cache(), so memos of lookup results can tell
+#: that the tables behind them were dropped.
+_generation = 0
 
 
 def tables_dir() -> str:
@@ -215,4 +218,11 @@ def tables_disabled():
 
 def invalidate_cache() -> None:
     """Drop parsed tables (tests rewrite table files in tmp dirs)."""
+    global _generation
     _cache.clear()
+    _generation += 1
+
+
+def generation() -> int:
+    """How many times the parsed-table cache has been dropped."""
+    return _generation

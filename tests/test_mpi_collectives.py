@@ -13,7 +13,7 @@ from repro.hardware import cluster_a, cluster_b
 from repro.mpi import MPIRuntime, MV2, MV2GDR, OPENMPI
 from repro.mpi.collectives import (
     HRConfig, allreduce_ring, allreduce_reduce_bcast, bcast_binomial,
-    bcast_flat, hierarchical_reduce, hr_plan, ibcast, ireduce,
+    bcast_flat, hierarchical_reduce, hr_contexts, hr_plan, ibcast, ireduce,
     parse_hr_config, reduce_binomial, reduce_chain, reduce_design,
     select_reduce_plan, tuned_reduce,
 )
@@ -279,6 +279,32 @@ class TestHierarchicalReduce:
         p1 = hr_plan(comm, 0, 8)
         p2 = hr_plan(comm, 0, 8)
         assert p1 is p2
+
+    def test_hr_contexts_match_sub_contexts(self):
+        rt, comm = runtime_for(16)
+        lowers, upper, _ = hr_plan(comm, root=3, chain_size=8)
+        ctxs = hr_contexts(comm, 3, 8)
+        assert hr_contexts(comm, 3, 8) is ctxs
+        for r, gpu in enumerate(comm.gpus):
+            world = comm.context(r)
+            lower, up = ctxs[gpu]
+            want = next(world.sub_context(lc) for lc in lowers
+                        if world.sub_context(lc) is not None)
+            assert (lower.comm, lower.rank) == (want.comm, want.rank)
+            sub_up = world.sub_context(upper)
+            if sub_up is None:
+                assert up is None
+            else:
+                assert (up.comm, up.rank) == (upper, sub_up.rank)
+
+    def test_hr_contexts_follow_profile_swap(self):
+        # Contexts snapshot the profile, as fresh per-call ones would.
+        rt, comm = runtime_for(16)
+        before = hr_contexts(comm, 0, 8)
+        rt.set_profile(rt.profile.derive(chain_size=3))
+        after = hr_contexts(comm, 0, 8)
+        assert after is not before
+        assert all(lo.profile is rt.profile for lo, _ in after.values())
 
     def test_hr_plan_rotation_for_root(self):
         rt, comm = runtime_for(8)

@@ -340,3 +340,47 @@ class TestProfileRegistry:
         # profile is indistinguishable from stock, so tables re-apply.
         assert is_stock_profile(stock.derive(chain_size=stock.chain_size))
         assert not is_stock_profile(stock.derive(name="never-registered"))
+
+
+class TestTunedChoiceMemo:
+    """The per-communicator memo of the "tuned" reduce decision misses
+    on every input its gate reads."""
+
+    def counting(self, monkeypatch):
+        from repro.mpi.collectives import tuning
+        calls = []
+        real = tuning._table_knobs
+
+        def spy(ctx, nbytes):
+            calls.append(nbytes)
+            return real(ctx, nbytes)
+
+        monkeypatch.setattr(tuning, "_table_knobs", spy)
+        return tuning._tuned_choice, calls
+
+    def test_memo_hits_and_misses(self, monkeypatch):
+        choice, calls = self.counting(monkeypatch)
+        rt, comm = runtime_for(16)
+        ctx = comm.context(0)
+        first = choice(ctx, 8 << 20)
+        assert choice(ctx, 8 << 20) == first and len(calls) == 1
+        choice(ctx, 4 << 20)
+        assert len(calls) == 2  # nbytes is part of the key
+        tables.invalidate_cache()
+        assert choice(ctx, 8 << 20) == first and len(calls) == 3
+        with tables.tables_disabled():
+            choice(ctx, 8 << 20)
+        assert len(calls) == 4
+        choice(ctx, 8 << 20)
+        assert len(calls) == 5  # re-enabled: the stamp moved back
+        rt.set_profile(rt.profile.derive(chain_size=3))
+        choice(comm.context(0), 8 << 20)
+        assert len(calls) == 6  # a CVAR write swaps the profile object
+
+    def test_memo_is_per_communicator(self, monkeypatch):
+        choice, calls = self.counting(monkeypatch)
+        _, comm1 = runtime_for(16)
+        _, comm2 = runtime_for(16)
+        choice(comm1.context(0), 8 << 20)
+        choice(comm2.context(0), 8 << 20)
+        assert len(calls) == 2
