@@ -345,12 +345,10 @@ def check_chaos_gate() -> list:
     ``silent`` (corruption past the checksums) or ``hang`` (drained
     schedule with parked ranks) cell fails the gate.
     """
-    from repro.check import (
-        chaos_outcome_tally, generate_chaos_matrix, run_chaos,
-    )
+    from repro.check import generate_chaos_matrix, outcome_tally, run_matrix
 
-    results = run_chaos(generate_chaos_matrix(0, quick=True))
-    tally = chaos_outcome_tally(results)
+    results = run_matrix(generate_chaos_matrix(0, quick=True))
+    tally = outcome_tally(results)
     print("chaos gate: " + "  ".join(f"{k}={v}" for k, v in tally.items()))
     problems = []
     failing = [r for r in results if not r.ok]

@@ -1,16 +1,37 @@
-"""Differential conformance harness for the collective suite.
+"""Conformance harness for the collective suite (``repro check``).
 
 Every :class:`Case` runs one collective over real NumPy payloads on a
-freshly built simulated cluster, with an
-:class:`~repro.check.invariants.InvariantChecker` installed, and
-compares the result byte-for-byte against the plain-NumPy reference
-semantics in :mod:`repro.check.reference`.  A case fails if
+freshly built simulated cluster, optionally under a seeded fault plan,
+with an :class:`~repro.check.invariants.InvariantChecker` and a
+telemetry session installed, and ends in exactly one outcome:
 
-- any rank program raises or never finishes (deadlock),
-- any rank's result deviates from the reference by a single byte, or
-- the run leaves an invariant violation behind (lockstep break, tag
-  outside its reservation, leaked request/scratch/staging buffer,
-  queue residue).
+- ``exact``     — byte-exact result, no recovery machinery engaged;
+- ``recovered`` — byte-exact result after transparent bounded retry /
+                  checksum-triggered retransmit;
+- ``error``     — a clean *typed* error (:class:`TransportTimeout`,
+                  :class:`IntegrityError`, :class:`RankFailure`,
+                  :class:`CommRevoked`, :class:`RequestTimeout`,
+                  :class:`CollectiveTimeout`, or an
+                  :class:`~repro.sim.Interrupt` carrying one of those /
+                  a :class:`~repro.faults.CrashRank`);
+- ``silent``    — wrong bytes with no error raised, or a corrupted
+                  delivery passed the checksum verify;
+- ``hang``      — ranks still parked after the event schedule drained
+                  (deadlock), or an *untyped* exception escaped.
+
+Each fault kind in :data:`FAULTS` declares its plan and the outcomes it
+may end in: a fault-free case must be ``exact``, ``drops`` exact or
+recovered, and the chaos kinds may also end in a typed error; ``silent``
+and ``hang`` never pass.  A run that drains cleanly must further be
+byte-exact against :mod:`repro.check.reference`, leave no invariant
+violation (lockstep break, tag outside its reservation, leaked
+request/scratch/staging buffer, queue residue), and its telemetry
+per-collective bytes must match the checker's independent tally.
+
+A case ending neither exact nor recovered is replayed once under a
+:class:`~repro.prof.SpanRecorder` and flight ring; the replay must
+reproduce the outcome and simulated time, and its last-N-events
+timeline ships with the result.
 
 Cases are plain frozen dataclasses with a stable one-line ``spec()``
 encoding, so any failure is reproducible from its printed spec alone:
@@ -20,14 +41,21 @@ encoding, so any failure is reproducible from its printed spec alone:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..cuda import DeviceBuffer
-from ..faults import DropMessages, FaultInjector, FaultPlan
+from ..faults import (
+    CorruptMessages, DropMessages, FaultInjector, FaultPlan, LinkDegrade,
+    LinkFlap, StallLink,
+)
+from ..faults.plan import CrashRank
 from ..hardware import cluster_a
-from ..mpi import MPIRuntime
+from ..mpi import (
+    CollectiveTimeout, CommRevoked, MPIRuntime, RankFailure, RequestTimeout,
+    TransportTimeout,
+)
 from ..mpi.collectives import (
     allgather_ring, allreduce_reduce_bcast, allreduce_ring, bcast_binomial,
     bcast_flat, bcast_scatter_allgather, block_partition, gather_binomial,
@@ -38,15 +66,16 @@ from ..nccl import (
     nccl_allgather, nccl_allreduce_ring, nccl_allreduce_tree,
     nccl_bcast_ring, nccl_bcast_tree, nccl_reduce_scatter, ring_order,
 )
-from ..sim import Simulator
+from ..sim import Interrupt, Simulator
 from .invariants import InvariantChecker
 from .reference import (
     allgather_reference, gather_reference, rank_payload, reduce_reference,
     scatter_reference,
 )
 
-__all__ = ["Case", "CaseResult", "COLLECTIVES", "run_case", "parse_case",
-           "generate_matrix", "run_matrix"]
+__all__ = ["Case", "CaseResult", "COLLECTIVES", "FAULTS", "FAULT_KINDS",
+           "OUTCOMES", "run_case", "parse_case", "generate_matrix",
+           "generate_chaos_matrix", "run_matrix", "outcome_tally"]
 
 #: Collectives the harness can drive, in canonical order.  The
 #: ``nccl_*`` entries are the NCCL backend's suite; like the MPI ones
@@ -102,6 +131,12 @@ class Case:
     def repro_command(self) -> str:
         return f"PYTHONPATH=src python -m repro.cli check --case '{self.spec()}'"
 
+    @property
+    def victim(self) -> int:
+        """The rank whose PCIe lanes a chaos fault targets (never rank 0,
+        the root of every chaos cell)."""
+        return 1 + self.seed % max(1, self.P - 1)
+
 
 def parse_case(spec: str) -> Case:
     """Inverse of :meth:`Case.spec`."""
@@ -127,9 +162,27 @@ def parse_case(spec: str) -> Case:
     if "collective" not in kwargs:
         raise ValueError("case spec needs collective=...")
     case = Case(**kwargs)
-    if case.collective not in COLLECTIVES:
-        raise ValueError(f"unknown collective {case.collective!r}")
+    problem = _invalid(case)
+    if problem is not None:
+        raise ValueError(problem)
     return case
+
+
+def _invalid(case: Case) -> Optional[str]:
+    """Why ``case`` cannot run, or None."""
+    if case.collective not in COLLECTIVES:
+        return f"unknown collective {case.collective!r}"
+    if case.fault is not None and case.fault not in FAULTS:
+        return f"unknown fault kind {case.fault!r} (have {tuple(FAULTS)})"
+    if not 0 <= case.root < case.P:
+        return f"root {case.root} out of range for P={case.P}"
+    if case.nbytes % 4:
+        return "nbytes must be 4-byte aligned (float32)"
+    return None
+
+
+#: Every outcome a case can end in; the first three are the good ones.
+OUTCOMES = ("exact", "recovered", "error", "silent", "hang")
 
 
 @dataclass
@@ -141,13 +194,23 @@ class CaseResult:
     #: Telemetry PVAR snapshot at end of run (cross-validated against
     #: the checker's independent tally before being stored).
     pvars: Dict[str, object] = field(default_factory=dict)
+    #: One of :data:`OUTCOMES` ("" when the case was invalid).
+    outcome: str = ""
+    #: The typed error (or rank exceptions) behind an ``error`` outcome.
+    detail: str = ""
+    #: Integrity / recovery counters at end of run.
+    counters: Dict[str, int] = field(default_factory=dict)
+    #: Flight-recorder timeline (last-N span events) from the recorded
+    #: replay of any case that did not end exact or recovered.
+    flight: List[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def describe(self) -> str:
-        head = f"{'PASS' if self.ok else 'FAIL'} {self.case.spec()}"
+        head = (f"{'PASS' if self.ok else 'FAIL'} "
+                f"[{self.outcome:>9}] {self.case.spec()}")
         if self.ok:
             return head
         lines = [head] + [f"    {f}" for f in self.failures]
@@ -352,31 +415,109 @@ def _verify(case: Case, payloads: List[np.ndarray],
                   full[off // 4:(off + n) // 4], "reduce_scatter")
 
 
-def _fault_plan(case: Case) -> Optional[FaultPlan]:
-    if case.fault is None:
-        return None
-    if case.fault == "drops":
-        # Two messages lost on rank 0's PCIe uplink right as the
-        # collective starts: the transport retries transparently, so the
-        # result must still be byte-exact.
-        return FaultPlan("conformance.drops", (
-            DropMessages(time=1e-6, target=("pcie", 0, "up"), count=2),))
-    raise ValueError(f"unknown fault kind {case.fault!r}")
+class FaultKind(NamedTuple):
+    """One value of :attr:`Case.fault`."""
+
+    #: Builds the seeded fault plan for a case.
+    plan: Callable[[Case], FaultPlan]
+    #: The outcomes a case under this fault may end in.
+    outcomes: Tuple[str, ...]
+    #: Arm the collective watchdog (stalls fail no attempt, so the
+    #: retry loop never sees them; only the watchdog converts them).
+    watchdog: bool = False
+
+
+def _drops_plan(case: Case) -> FaultPlan:
+    # Two messages lost on rank 0's PCIe uplink right as the collective
+    # starts: the transport retries transparently, so the result must
+    # still be byte-exact.
+    return FaultPlan("conformance.drops", (
+        DropMessages(time=1e-6, target=("pcie", 0, "up"), count=2),))
+
+
+def _both_lanes(make) -> Callable[[Case], FaultPlan]:
+    """A chaos plan: ``make(case, target)`` on both PCIe directions of
+    the case's victim rank, so every traffic pattern (send-heavy roots,
+    receive-heavy leaves, rings) crosses a faulted lane.
+
+    Collectives at these sizes complete within microseconds and many
+    ranks touch a given link exactly once, in the very first round — so
+    every chaos fault arms at t=0 (and the injector is armed before the
+    rank programs spawn) to guarantee the faulted lane sees traffic.
+    """
+    def plan(case: Case) -> FaultPlan:
+        return FaultPlan(name=f"chaos.{case.fault}", events=tuple(
+            make(case, ("pcie", case.victim, lane))
+            for lane in ("up", "down")))
+    return plan
+
+
+_CLEAN = ("exact", "recovered")
+_TYPED = _CLEAN + ("error",)
+
+#: Fault kinds by :attr:`Case.fault` name.  ``drops`` is the byte-exact
+#: matrix's transparent-retry fault; the rest are the chaos kinds.
+FAULTS: Dict[str, FaultKind] = {
+    "drops": FaultKind(_drops_plan, _CLEAN),
+    # A couple of bit-flipped deliveries: the checksum layer must detect
+    # and retransmit within the retry budget.
+    "corrupt": FaultKind(_both_lanes(lambda c, t: CorruptMessages(
+        time=0.0, target=t, count=2)), _TYPED),
+    # More corruptions than the retransmit budget can absorb on one
+    # transfer: a persistent corruptor, which must surface as a typed
+    # IntegrityError rather than wrong bytes.
+    "corrupt-storm": FaultKind(_both_lanes(lambda c, t: CorruptMessages(
+        time=0.0, target=t, count=64)), _TYPED),
+    "stall": FaultKind(_both_lanes(lambda c, t: StallLink(
+        start=0.0, target=t)), _TYPED, watchdog=True),
+    "drop": FaultKind(_both_lanes(lambda c, t: DropMessages(
+        time=0.0, target=t, count=2)), _TYPED),
+    # Even seeds flap briefly (retries bridge it: recovered); odd seeds
+    # outlast the whole backoff budget (typed timeout).
+    "flap": FaultKind(_both_lanes(lambda c, t: LinkFlap(
+        start=0.0, duration=0.004 if c.seed % 2 == 0 else 0.05,
+        target=t)), _TYPED),
+    "degrade": FaultKind(_both_lanes(lambda c, t: LinkDegrade(
+        start=0.0, duration=0.01, target=t, factor=8.0)), _TYPED),
+}
+
+#: The chaos matrix's fault kinds, in canonical order.
+FAULT_KINDS = tuple(k for k in FAULTS if k != "drops")
+
+#: Exception types that count as a *clean typed error* outcome.
+TYPED_ERRORS = (TransportTimeout, RankFailure, CommRevoked, RequestTimeout,
+                CollectiveTimeout)
+
+
+def _typed(exc: BaseException) -> bool:
+    if isinstance(exc, TYPED_ERRORS):
+        return True
+    if isinstance(exc, Interrupt):
+        return isinstance(exc.cause, (CrashRank,) + TYPED_ERRORS)
+    return False
 
 
 def run_case(case: Case) -> CaseResult:
-    """Run one conformance case; never raises for in-run failures."""
-    res = CaseResult(case)
-    if case.collective not in COLLECTIVES:
-        res.failures.append(f"unknown collective {case.collective!r}")
-        return res
-    if not 0 <= case.root < case.P:
-        res.failures.append(f"root {case.root} out of range for P={case.P}")
-        return res
-    if case.nbytes % 4:
-        res.failures.append("nbytes must be 4-byte aligned (float32)")
-        return res
+    """Run one case and classify its outcome; never raises for in-run
+    failures.  A case ending neither exact nor recovered is replayed
+    once under a span recorder, which must reproduce it and supplies the
+    flight ring."""
+    problem = _invalid(case)
+    if problem is not None:
+        return CaseResult(case, failures=[problem])
+    res = _execute(case)
+    if res.outcome not in _CLEAN:
+        replay = _execute(case, record=True)
+        if (replay.outcome, replay.sim_time) != (res.outcome, res.sim_time):
+            res.failures.append(
+                f"recorded replay diverged: {replay.outcome} at "
+                f"t={replay.sim_time!r}")
+        res.flight = replay.flight
+    return res
 
+
+def _execute(case: Case, record: bool = False) -> CaseResult:
+    res = CaseResult(case)
     sim = Simulator(seed=case.seed)
     cluster = cluster_a(sim, n_nodes=max(1, (case.P + 15) // 16))
     runtime = MPIRuntime(cluster, case.profile)
@@ -385,9 +526,19 @@ def run_case(case: Case) -> CaseResult:
                 for r in range(case.P)]
     program = _program(case, payloads)
 
-    plan = _fault_plan(case)
-    if plan is not None:
-        FaultInjector(cluster, plan).arm()
+    flight = None
+    if record:
+        from ..obs import FlightRecorder
+        from ..prof import SpanRecorder
+        flight = FlightRecorder(SpanRecorder(sim), capacity=256)
+    kind = FAULTS.get(case.fault)
+    injector = None
+    if kind is not None:
+        # Armed BEFORE the ranks spawn: its t=0 drivers are then
+        # scheduled ahead of the rank programs, so fault state is in
+        # place before the first transfer attempt of the first round.
+        injector = FaultInjector(cluster, kind.plan(case))
+        injector.arm(runtime=runtime)
 
     chk = InvariantChecker()
     chk.install(sim)
@@ -398,48 +549,100 @@ def run_case(case: Case) -> CaseResult:
     tel = TelemetrySession()
     tel.attach(sim)
     tel.install()
-    aborted = False
+    error: Optional[BaseException] = None
     try:
         procs = runtime.spawn(comm, program)
+        if kind is not None and kind.watchdog:
+            wd = runtime.ensure_watchdog()
+            wd.flight = flight
+            wd.arm(procs, comm.gpus, nbytes=case.nbytes)
         try:
             sim.run()
         except Exception as exc:
-            aborted = True
-            res.failures.append(f"simulation aborted: {exc!r}")
+            error = exc
     finally:
         tel.uninstall()
         chk.uninstall()
 
     res.sim_time = sim.now
     res.n_events = sim.event_count
+    res.pvars = tel.pvar_snapshot()
+    tm = runtime.transport.metrics
+    res.counters = {
+        "injected": injector.total_injected if injector else 0,
+        "retries": tm.retries,
+        "timeouts": tm.timeouts,
+        "corrupt_detected": tm.corrupt_detected,
+        "retransmits": tm.retransmits,
+        "integrity_failures": tm.integrity_failures,
+        "silent_corruptions": tm.silent_corruptions,
+    }
+    wd = runtime.watchdog
+    if wd is not None:
+        res.counters["watchdog_timeouts"] = wd.timeouts
+        res.counters["watchdog_escalations"] = wd.escalations
 
-    if not aborted:
-        stuck = [i for i, p in enumerate(procs) if p.is_alive]
-        if stuck:
-            res.failures.append(f"deadlock: ranks {stuck} never finished")
-        else:
-            failed = [(i, p.value) for i, p in enumerate(procs) if not p.ok]
-            if failed:
-                for i, exc in failed:
-                    res.failures.append(f"rank {i} raised {exc!r}")
-            else:
-                _verify(case, payloads, [p.value for p in procs],
-                        res.failures)
-        if not stuck:
-            for v in chk.end_of_run(transport=runtime.transport):
-                res.failures.append(str(v))
-            got = {k: int(v)
-                   for k, v in tel.pvar_read("mpi.coll.bytes").items()}
-            want = {k: int(v) for k, v in chk.coll_bytes.items()}
-            if got != want:
-                res.failures.append(
-                    f"telemetry coll-bytes mismatch: pvar {got} "
-                    f"vs checker tally {want}")
-        res.pvars = tel.pvar_snapshot()
+    drained = False
+    if tm.silent_corruptions:
+        res.outcome = "silent"
+        res.failures.append(
+            f"{tm.silent_corruptions} corrupted deliveries passed "
+            f"verification (checksum layer broken)")
+    elif error is not None:
+        res.detail = f"{type(error).__name__}: {error}"
+        res.outcome = "error" if _typed(error) else "hang"
+        if res.outcome == "hang":
+            res.failures.append(f"untyped error escaped: {error!r}")
+    elif any(p.is_alive for p in procs):
+        res.outcome = "hang"
+        res.failures.append(
+            f"deadlock: ranks {[i for i, p in enumerate(procs) if p.is_alive]}"
+            f" never finished")
     else:
-        # A crashed simulation leaves queues/requests in arbitrary
-        # states; the abort itself is the failure.
+        drained = True
+        failed = [(i, p.value) for i, p in enumerate(procs) if not p.ok]
+        if failed:
+            res.detail = "; ".join(f"rank {i} raised {e!r}"
+                                   for i, e in failed)
+            res.outcome = ("error" if all(_typed(e) for _, e in failed)
+                           else "hang")
+            if res.outcome == "hang":
+                res.failures.append(res.detail)
+        else:
+            _verify(case, payloads, [p.value for p in procs], res.failures)
+            if res.failures:
+                res.outcome = "silent"
+                res.failures.append("wrong bytes with no error raised")
+            elif (tm.retries or tm.retransmits or tm.corrupt_detected
+                  or tm.drops_detected or tm.link_down_detected):
+                res.outcome = "recovered"
+            else:
+                res.outcome = "exact"
+
+    # silent and hang carry their own failure lines; a good outcome
+    # the fault kind does not allow (a typed error on a fault-free
+    # case, say) fails here.
+    allowed = kind.outcomes if kind is not None else ("exact",)
+    if res.outcome in _TYPED and res.outcome not in allowed:
+        res.failures.insert(0, f"{res.outcome} outcome not allowed under "
+                               f"fault={case.fault}"
+                            + (f": {res.detail}" if res.detail else ""))
+    if drained:
+        res.failures.extend(str(v) for v in
+                            chk.end_of_run(transport=runtime.transport))
+        got = {k: int(v)
+               for k, v in tel.pvar_read("mpi.coll.bytes").items()}
+        want = {k: int(v) for k, v in chk.coll_bytes.items()}
+        if got != want:
+            res.failures.append(
+                f"telemetry coll-bytes mismatch: pvar {got} "
+                f"vs checker tally {want}")
+    else:
+        # A run that did not drain cleanly leaves queues/requests in
+        # arbitrary states: only the checks made during the run count.
         res.failures.extend(str(v) for v in chk.violations)
+    if flight is not None:
+        res.flight = flight.snapshot()
     return res
 
 
@@ -548,6 +751,30 @@ def generate_matrix(seed: int = 0, *, quick: bool = False,
     return cases
 
 
+def generate_chaos_matrix(seed: int = 0, *,
+                          quick: bool = False) -> List[Case]:
+    """The seeded chaos matrix: collective x profile x chaos fault kind,
+    rooted at rank 0 on a single node.
+
+    Full mode sweeps every registered profile; quick mode keeps one MPI
+    profile plus the nccl backend for CI.
+    """
+    rng = np.random.default_rng(seed)
+    profiles = (_PROFILES[0], "nccl") if quick else _PROFILES
+    cases: List[Case] = []
+    for profile in profiles:
+        for coll in COLLECTIVES:
+            for kind in FAULT_KINDS:
+                P = int(rng.integers(2, 9))
+                if coll == "hierarchical_reduce":
+                    P = max(P, 8)
+                nbytes = 4 * int(rng.integers(8, 1 << 10))
+                cases.append(Case(
+                    coll, P=P, nbytes=nbytes, profile=profile,
+                    seed=int(rng.integers(0, 1 << 16)), fault=kind))
+    return cases
+
+
 def run_matrix(cases: List[Case], *, stop_on_fail: bool = False,
                progress=None) -> List[CaseResult]:
     results = []
@@ -559,3 +786,11 @@ def run_matrix(cases: List[Case], *, stop_on_fail: bool = False,
         if stop_on_fail and not r.ok:
             break
     return results
+
+
+def outcome_tally(results: List[CaseResult]) -> Dict[str, int]:
+    """Outcome -> count over a result set (every bucket present)."""
+    tally = {k: 0 for k in OUTCOMES}
+    for r in results:
+        tally[r.outcome] = tally.get(r.outcome, 0) + 1
+    return tally

@@ -174,9 +174,6 @@ class InvariantChecker:
     def on_request(self, req) -> None:
         self._requests.append(req)
 
-    def on_wait(self, req) -> None:
-        pass  # reserved for wait-ordering diagnostics
-
     # -- buffer tracking (memory.buffer_tracker protocol) --------------------
     def on_alloc(self, buf) -> None:
         self._live_buffers[id(buf)] = buf

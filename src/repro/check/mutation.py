@@ -17,6 +17,13 @@ Mutations:
   divergence from the NumPy reference.
 - ``wrong_root`` — the last rank disagrees about the collective's root
   (an SPMD divergence).  Expected detection: deadlock or wrong bytes.
+- ``disabled_verify`` — the transport's checksum verify is a no-op.
+  Expected detection: a ``corrupt`` chaos cell ends ``silent``.
+- ``disabled_watchdog`` — arming the collective watchdog is a no-op.
+  Expected detection: a ``stall`` chaos cell ends in a ``hang``.
+
+Each mutation names the outcome its mutated case must end in, so a
+mutant caught for the wrong reason still counts as missed.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from . import harness
 from .harness import Case, run_case
 
 __all__ = ["MUTATIONS", "MutationOutcome", "run_mutation_selftest",
-           "flipped_tag", "skipped_segment", "wrong_root"]
+           "flipped_tag", "skipped_segment", "wrong_root", "disabled_verify",
+           "disabled_watchdog"]
 
 
 @contextmanager
@@ -90,14 +98,53 @@ def wrong_root():
         harness._root_for_rank = orig
 
 
-#: (name, context manager, case exercising the mutated path).
+@contextmanager
+def disabled_verify():
+    """The checksum verify becomes a no-op: corruption sails through."""
+    from ..mpi.transport import DeviceTransport
+    orig = DeviceTransport._verify
+
+    def patched(self, *args, **kwargs):
+        return None
+
+    DeviceTransport._verify = patched
+    try:
+        yield
+    finally:
+        DeviceTransport._verify = orig
+
+
+@contextmanager
+def disabled_watchdog():
+    """Arming the watchdog becomes a no-op: stalls hang forever."""
+    from ..mpi.watchdog import CollectiveWatchdog
+    orig = CollectiveWatchdog.arm
+
+    def patched(self, *args, **kwargs):
+        return None
+
+    CollectiveWatchdog.arm = patched
+    try:
+        yield
+    finally:
+        CollectiveWatchdog.arm = orig
+
+
+#: (name, context manager, case exercising the mutated path, outcome
+#: the mutated run must end in).
 MUTATIONS = (
     ("flipped_tag", flipped_tag,
-     Case("bcast_binomial", P=4, nbytes=256)),
+     Case("bcast_binomial", P=4, nbytes=256), "hang"),
     ("skipped_segment", skipped_segment,
-     Case("reduce_chain", P=3, nbytes=1024, chunk_bytes=64)),
+     Case("reduce_chain", P=3, nbytes=1024, chunk_bytes=64), "silent"),
     ("wrong_root", wrong_root,
-     Case("reduce_binomial", P=4, nbytes=256)),
+     Case("reduce_binomial", P=4, nbytes=256), "hang"),
+    ("disabled_verify", disabled_verify,
+     Case("bcast_binomial", P=4, nbytes=1024, seed=3, fault="corrupt"),
+     "silent"),
+    ("disabled_watchdog", disabled_watchdog,
+     Case("allreduce_ring", P=4, nbytes=1024, seed=5, fault="stall"),
+     "hang"),
 )
 
 
@@ -119,13 +166,16 @@ class MutationOutcome:
 
 def run_mutation_selftest() -> List[MutationOutcome]:
     """For each mutation: the un-mutated case must PASS, the mutated one
-    must FAIL.  Returns one outcome per mutation."""
+    must FAIL with the expected outcome.  Returns one outcome per
+    mutation."""
     outcomes = []
-    for name, mutation, case in MUTATIONS:
+    for name, mutation, case, want in MUTATIONS:
         clean_ok = run_case(case).ok
         with mutation():
             mutated = run_case(case)
         outcomes.append(MutationOutcome(
-            name=name, detected=not mutated.ok, clean_ok=clean_ok,
-            failures=list(mutated.failures)))
+            name=name, clean_ok=clean_ok,
+            detected=not mutated.ok and mutated.outcome == want,
+            failures=[f"outcome={mutated.outcome} (expected {want})"]
+            + mutated.failures))
     return outcomes

@@ -258,17 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--failures-out", default=None, metavar="FILE",
                    help="write failing case specs + repro commands here")
     k.add_argument("--chaos", action="store_true",
-                   help="run the chaos-conformance matrix instead: every "
+                   help="run the chaos matrix instead: every "
                         "collective x profile x fault kind must end "
                         "exact, recovered, or typed-error — never "
                         "silent corruption, never a hang")
-    k.add_argument("--chaos-case", default=None, metavar="SPEC",
-                   help="run one chaos cell from its spec string "
-                        "(as printed by a failing chaos sweep)")
-    k.add_argument("--chaos-self-test", action="store_true",
-                   help="prove the chaos gate has teeth (disable the "
-                        "checksum verify / the watchdog; each must be "
-                        "caught)")
 
     sub.add_parser("table1", help="print the Table-1 feature matrix")
     sub.add_parser("networks", help="list the model zoo")
@@ -673,57 +666,11 @@ def _cmd_crossover(args) -> int:
     return 0
 
 
-def _cmd_chaos_check(args) -> int:
-    from .check import (
-        chaos_outcome_tally, generate_chaos_matrix, parse_chaos_case,
-        run_chaos, run_chaos_case, run_chaos_selftest,
-    )
-
-    if args.chaos_self_test:
-        outcomes = run_chaos_selftest()
-        for o in outcomes:
-            print(o.describe())
-        ok = all(o.detected and o.clean_ok for o in outcomes)
-        print(f"chaos self-test: {sum(o.detected for o in outcomes)}/"
-              f"{len(outcomes)} sabotaged protections caught")
-        return 0 if ok else 1
-
-    if args.chaos_case is not None:
-        result = run_chaos_case(parse_chaos_case(args.chaos_case))
-        print(result.describe())
-        for k, v in sorted(result.counters.items()):
-            print(f"    {k}={v}")
-        print(f"    sim_time={result.sim_time:.6f}s")
-        return 0 if result.ok else 1
-
-    cases = generate_chaos_matrix(args.seed, quick=args.quick)
-    if args.list_cases:
-        for c in cases:
-            print(c.spec())
-        return 0
-
-    results = run_chaos(cases, progress=lambda r: print(r.describe()))
-    tally = chaos_outcome_tally(results)
-    failures = [r for r in results if not r.ok]
-    print(f"\nchaos conformance: {len(results) - len(failures)}/"
-          f"{len(results)} cells pass (seed {args.seed})  "
-          + "  ".join(f"{k}={v}" for k, v in tally.items()))
-    if failures and args.failures_out:
-        with open(args.failures_out, "w") as fh:
-            for r in failures:
-                fh.write(r.describe() + "\n")
-        print(f"failing-cell repro commands written to {args.failures_out}")
-    return 1 if failures else 0
-
-
 def _cmd_check(args) -> int:
     from .check import (
-        generate_matrix, parse_case, run_case, run_matrix,
-        run_mutation_selftest,
+        generate_chaos_matrix, generate_matrix, outcome_tally, parse_case,
+        run_case, run_matrix, run_mutation_selftest,
     )
-
-    if args.chaos or args.chaos_case is not None or args.chaos_self_test:
-        return _cmd_chaos_check(args)
 
     if args.self_test:
         outcomes = run_mutation_selftest()
@@ -737,10 +684,18 @@ def _cmd_check(args) -> int:
     if args.case is not None:
         result = run_case(parse_case(args.case))
         print(result.describe())
+        if result.detail:
+            print(f"    {result.detail}")
+        for k, v in result.counters.items():
+            print(f"    {k}={v}")
         print(f"sim_time={result.sim_time:.6f}s events={result.n_events}")
         return 0 if result.ok else 1
 
-    cases = generate_matrix(args.seed, quick=args.quick, max_p=args.max_p)
+    if args.chaos:
+        cases = generate_chaos_matrix(args.seed, quick=args.quick)
+    else:
+        cases = generate_matrix(args.seed, quick=args.quick,
+                                max_p=args.max_p)
     if args.list_cases:
         for c in cases:
             print(c.spec())
@@ -748,8 +703,10 @@ def _cmd_check(args) -> int:
 
     results = run_matrix(cases, progress=lambda r: print(r.describe()))
     failures = [r for r in results if not r.ok]
-    print(f"\nconformance: {len(results) - len(failures)}/{len(results)} "
-          f"cases pass (seed {args.seed})")
+    print(f"\n{'chaos ' if args.chaos else ''}conformance: "
+          f"{len(results) - len(failures)}/{len(results)} cases pass "
+          f"(seed {args.seed})  " + "  ".join(
+              f"{k}={v}" for k, v in outcome_tally(results).items()))
     if failures and args.failures_out:
         with open(args.failures_out, "w") as fh:
             for r in failures:

@@ -33,7 +33,7 @@ from ...sim import Event
 from ..communicator import RankContext
 
 __all__ = ["COLL_TAG_BASE", "TAG_BLOCK", "ProtocolViolation", "TagBlock",
-           "coll_tags", "coll_tag_base", "as_tag_block", "segments",
+           "coll_tags", "as_tag_block", "segments",
            "apply_reduction", "local_accumulate_copy", "traced",
            "validate_knob"]
 
@@ -123,15 +123,6 @@ def coll_tags(ctx: RankContext, count: int, name: str = "") -> TagBlock:
     if tel is not None:
         tel.on_coll_block(comm, ctx.rank, seq, block)
     return block
-
-
-def coll_tag_base(ctx: RankContext) -> int:
-    """Legacy entry point: reserve one unit and return its base tag.
-
-    Kept for external callers that still do raw ``tag0 + k`` arithmetic;
-    in-tree collectives use :func:`coll_tags` so indices are checked.
-    """
-    return coll_tags(ctx, TAG_BLOCK).base
 
 
 def as_tag_block(tag_base, count: int, name: str = "") -> TagBlock:

@@ -78,9 +78,6 @@ class Request:
         request is consumed inline by the waiter's trampoline and a
         pending one wakes the waiter directly, with no relay hop.
         """
-        chk = self.sim.checker
-        if chk is not None:
-            chk.on_wait(self)
         if self._on_wait is not None:
             hook, self._on_wait = self._on_wait, None
             hook()

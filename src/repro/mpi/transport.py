@@ -506,21 +506,24 @@ class DeviceTransport:
                 f"({n} bytes, modeled)")
 
     def estimate(self, src_gpu, dst_gpu, nbytes: int) -> float:
-        """Closed-form uncontended estimate (used by tuning tables)."""
+        """Closed-form uncontended estimate (used by tuning tables).
+
+        A cut-through path (IPC, GDR) is priced exactly as its
+        jitter-free hold: the link latencies, ``nbytes`` over the
+        bottleneck bandwidth, and the path's fixed ``extra``.
+        """
         if src_gpu is dst_gpu:
             return self.cal.cuda_copy_overhead + nbytes / src_gpu.spec.membw
         path = self.cut_through(src_gpu, dst_gpu, nbytes)
-        if path is not None and path.kind == "ipc":
-            return (self.cal.cuda_copy_overhead
-                    + 2 * self.cal.pcie_latency
-                    + nbytes / self.cal.pcie_bw)
+        if path is not None:
+            lat = 0.0
+            for link in path.links:
+                lat += link.latency
+            bw = min(link.bandwidth for link in path.links)
+            return lat + nbytes / bw + path.extra
         if self.cluster.same_node(src_gpu, dst_gpu):
             return self._staged_estimate(nbytes, wire_bw=self.cal.pcie_bw)
         nic_bw = self.cluster.node_of(src_gpu).nic_for(src_gpu).bandwidth
-        if path is not None:
-            bw = min(self.cal.pcie_bw, nic_bw, self.cal.gdr_read_bw)
-            return (2 * self.cal.pcie_latency + 2 * self.cal.ib_latency
-                    + nbytes / bw)
         return self._staged_estimate(nbytes, wire_bw=nic_bw)
 
     # -- mechanisms ------------------------------------------------------------

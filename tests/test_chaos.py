@@ -1,31 +1,56 @@
 """Chaos-conformance gate: the outcome trichotomy, its mutation
 self-test, case-spec round-trips, and two interplay regressions —
 faulty links vs the batched-train fast path, and fault-plan determinism
-across scheduler modes."""
+across scheduler modes.
+
+A chaos cell is an ordinary :class:`~repro.check.harness.Case` whose
+``fault`` is a chaos kind, run by the same ``run_case`` as the
+byte-exact matrix (invariant checker and telemetry cross-check on)."""
 
 import os
 
 import pytest
 
-from repro.check.chaos import (
-    ChaosCase, FAULT_KINDS, GOOD_OUTCOMES, chaos_outcome_tally,
-    generate_chaos_matrix, parse_chaos_case, run_chaos, run_chaos_case,
-    run_chaos_selftest,
+from repro.check import (
+    FAULT_KINDS, MUTATIONS, generate_chaos_matrix, outcome_tally, parse_case,
+    run_matrix, run_mutation_selftest,
 )
+from repro.check.harness import OUTCOMES
 from repro.core import TrainConfig, run_scaffe
 from repro.faults import PLAN_NAMES, named_plan
 from repro.hardware import make_cluster
 from repro.hardware.faults import FaultyLink, MessageDropped
 from repro.sim import BandwidthLink, Simulator
 
+GOOD_OUTCOMES = OUTCOMES[:3]
+
+#: Per-cell (outcome, sim_time) of the quick seed-1 chaos matrix,
+#: captured from the standalone chaos runner before it was folded into
+#: the conformance harness (that runner used a span recorder on every
+#: cell; this one runs unrecorded, with the checker and telemetry on).
+LISTING = os.path.join(os.path.dirname(__file__), "data",
+                       "chaos_quick_seed1.txt")
+
+
+def _listing():
+    with open(LISTING) as fh:
+        return [line.split() for line in fh
+                if line.strip() and not line.startswith("#")]
+
+
+@pytest.fixture(scope="module")
+def quick_seed1():
+    cases = generate_chaos_matrix(1, quick=True)
+    return cases, run_matrix(cases)
+
 
 class TestChaosMatrix:
-    def test_quick_matrix_trichotomy_holds(self):
+    def test_quick_matrix_trichotomy_holds(self, quick_seed1):
         """Every quick-matrix cell must end exact / recovered / typed
         error — zero silent corruption, zero hangs."""
-        results = run_chaos(generate_chaos_matrix(1, quick=True))
+        _, results = quick_seed1
         assert len(results) >= 60
-        tally = chaos_outcome_tally(results)
+        tally = outcome_tally(results)
         assert tally["silent"] == 0
         assert tally["hang"] == 0
         bad = [r for r in results if not r.ok]
@@ -33,10 +58,37 @@ class TestChaosMatrix:
         # The matrix genuinely exercises all three contract outcomes.
         assert all(tally[k] > 0 for k in GOOD_OUTCOMES)
 
+    def test_quick_seed1_tally_is_pinned(self, quick_seed1):
+        _, results = quick_seed1
+        assert outcome_tally(results) == {
+            "exact": 36, "recovered": 93, "error": 87, "silent": 0,
+            "hang": 0}
+
+    def test_every_cell_matches_the_captured_listing(self, quick_seed1):
+        cases, results = quick_seed1
+        rows = _listing()
+        assert len(rows) == len(cases) == 216
+        for case, res, row in zip(cases, results, rows):
+            coll, P, nbytes, fault, profile, seed, outcome, t = row
+            assert (case.collective, case.P, case.nbytes, case.fault,
+                    case.profile, case.seed) == (
+                coll, int(P), int(nbytes), fault, profile, int(seed))
+            assert (res.outcome, repr(res.sim_time)) == (outcome, t), \
+                case.spec()
+
+    def test_no_recorder_unless_replayed(self, quick_seed1):
+        """Only cells that end in neither exact nor recovered are
+        replayed under the recorder, which supplies their flight ring."""
+        _, results = quick_seed1
+        for r in results:
+            if r.outcome in ("exact", "recovered"):
+                assert not r.flight, r.case.spec()
+        assert any(r.flight for r in results if r.outcome == "error")
+
     def test_full_matrix_covers_every_kind(self):
         cases = generate_chaos_matrix(0, quick=False)
         assert len(cases) >= 200  # acceptance floor from the issue
-        assert {c.kind for c in cases} == set(FAULT_KINDS)
+        assert {c.fault for c in cases} == set(FAULT_KINDS)
 
     def test_victim_is_never_the_root(self):
         for c in generate_chaos_matrix(2, quick=True):
@@ -48,9 +100,10 @@ class TestChaosSelfTest:
         """The gate must have teeth: a disabled checksum verify must
         read as silent corruption, a disabled watchdog as a hang —
         while the unmutated cases pass."""
-        outcomes = run_chaos_selftest()
-        assert len(outcomes) == 2
-        for o in outcomes:
+        outcomes = {o.name: o for o in run_mutation_selftest()}
+        assert len(outcomes) == len(MUTATIONS) == 5
+        assert {"disabled_verify", "disabled_watchdog"} <= set(outcomes)
+        for o in outcomes.values():
             assert o.detected, (o.name, o.failures)
             assert o.clean_ok, o.name
 
@@ -58,16 +111,28 @@ class TestChaosSelfTest:
 class TestCaseSpecs:
     def test_spec_round_trips(self):
         for case in generate_chaos_matrix(3, quick=True)[:12]:
-            assert parse_chaos_case(case.spec()) == case
+            assert parse_case(case.spec()) == case
+
+    def test_every_chaos_spec_round_trips(self):
+        for case in generate_chaos_matrix(0, quick=False):
+            assert parse_case(case.spec()) == case
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
-            parse_chaos_case("collective=allreduce_ring,P=four")
+            parse_case("collective=allreduce_ring,P=four")
         with pytest.raises(ValueError):
-            parse_chaos_case("kind=corrupt")  # no collective
+            parse_case("fault=corrupt")  # no collective
         with pytest.raises(ValueError):
-            parse_chaos_case(
-                "collective=allreduce_ring,P=4,nbytes=64,kind=gremlins")
+            parse_case(
+                "collective=allreduce_ring,P=4,nbytes=64,fault=gremlins")
+
+    def test_unknown_fault_rejected_at_parse_time(self):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            parse_case("collective=bcast_binomial,P=4,nbytes=64,"
+                       "fault=drop-everything")
+        for kind in FAULT_KINDS + ("drops",):
+            parse_case(f"collective=bcast_binomial,P=4,nbytes=64,"
+                       f"fault={kind}")
 
 
 class TestFaultyLinkFastPath:

@@ -15,7 +15,6 @@ from repro.mpi.collectives import (
     COLL_TAG_BASE, ProtocolViolation, TAG_BLOCK, allreduce_reduce_bcast,
     coll_tags, reduce_binomial,
 )
-from repro.mpi.collectives.base import coll_tag_base
 from repro.sim import Simulator
 
 
@@ -53,13 +52,6 @@ class TestTagAllocator:
         ctx = comm.context(0)
         for count in (1, 100, TAG_BLOCK, TAG_BLOCK + 1):
             assert coll_tags(ctx, count).base >= COLL_TAG_BASE
-
-    def test_legacy_coll_tag_base_reserves_one_unit(self):
-        _, comm = make_runtime(2)
-        ctx = comm.context(0)
-        t0 = coll_tag_base(ctx)
-        t1 = coll_tag_base(ctx)
-        assert t1 == t0 + TAG_BLOCK
 
     def test_ranks_agree_on_blocks(self):
         _, comm = make_runtime(4)
@@ -205,7 +197,7 @@ class TestInvariantChecker:
 class TestMutationSelfTest:
     def test_every_seeded_bug_is_detected(self):
         outcomes = run_mutation_selftest()
-        assert len(outcomes) == 3
+        assert len(outcomes) == 5
         for o in outcomes:
             assert o.clean_ok, f"{o.name}: baseline case failed"
             assert o.detected, f"{o.name}: mutation NOT detected"

@@ -74,7 +74,7 @@ class TestChecksummedTransport:
     def test_disabled_verify_trips_silent_corruption_counter(self):
         """If the checksum layer is sabotaged, the corrupted delivery
         completes and the silent-corruption tripwire counts it."""
-        from repro.check.chaos import disabled_verify
+        from repro.check.mutation import disabled_verify
         sim, cluster, rt, src, dst, payload = _corrupting_setup(count=1)
 
         def prog():

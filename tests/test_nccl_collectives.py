@@ -88,12 +88,11 @@ class TestFaultTolerance:
     def test_chaos_trichotomy_holds(self, collective, kind):
         """Under corruption or stalls the run must end exact, recovered,
         or typed-error — never silent wrong bytes, never a hang."""
-        from repro.check.chaos import GOOD_OUTCOMES, ChaosCase, \
-            run_chaos_case
-        r = run_chaos_case(ChaosCase(collective, P=6, nbytes=2048,
-                                     kind=kind, profile="nccl", seed=11))
+        from repro.check.harness import OUTCOMES
+        r = run_case(Case(collective, P=6, nbytes=2048, profile="nccl",
+                          seed=11, fault=kind))
         assert r.ok, r.describe()
-        assert r.outcome in GOOD_OUTCOMES
+        assert r.outcome in OUTCOMES[:3]
 
 
 def _instrumented_allreduce(nbytes, threshold):

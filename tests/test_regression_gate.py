@@ -208,3 +208,28 @@ class TestCommittedRecord:
         # of the committed results directory.
         monkeypatch.setattr(rg, "RESULTS_DIR", str(tmp_path))
         assert rg.run_subset() == record["headline"]
+
+
+class TestChaosGate:
+    def test_failing_cell_writes_flight_postmortem(self, monkeypatch,
+                                                   tmp_path):
+        """A chaos cell that fails (here: corruption sailing past a
+        disabled checksum verify) is reported with its repro command,
+        and its flight ring lands in ``flight_postmortem.json``."""
+        import repro.check
+        from repro.check import Case
+        from repro.check.mutation import disabled_verify
+
+        case = Case("bcast_binomial", P=4, nbytes=1024, seed=3,
+                    fault="corrupt")
+        monkeypatch.setattr(repro.check, "generate_chaos_matrix",
+                            lambda seed, quick: [case])
+        monkeypatch.setattr(rg, "RESULTS_DIR", str(tmp_path))
+        with disabled_verify():
+            problems = rg.check_chaos_gate()
+        assert problems[0].startswith(f"chaos [silent] {case.spec()}")
+        assert case.repro_command() in problems[1]
+        with open(tmp_path / "flight_postmortem.json") as f:
+            dump = json.load(f)
+        assert dump["cells"][case.spec()]["outcome"] == "silent"
+        assert dump["cells"][case.spec()]["events"]

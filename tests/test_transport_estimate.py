@@ -1,8 +1,10 @@
 """Cross-validation of the transport's closed-form estimate (satellite
 of ISSUE 9): ``DeviceTransport.estimate`` is what the auto-tuner uses to
 prune candidates before paying for full simulations, so it must track
-the actually-simulated transfer times — here within 25% on every
-mechanism path, both the batched-train and per-chunk staged pipelines.
+the actually-simulated transfer times.  A lone cut-through transfer
+(CUDA IPC, GPUDirect RDMA) is one jitter-free hold, so its estimate must
+equal the simulated time exactly; the staged paths must land within 25%,
+on both the batched-train and per-chunk pipelines.
 
 The estimate is *uncontended* (single transfer, idle links), so each
 measurement runs one transfer on a fresh simulator.
@@ -16,10 +18,10 @@ from repro.mpi import MPIRuntime
 from repro.prof import SpanRecorder
 from repro.sim import Simulator
 
-#: Relative tolerance for estimate vs simulation.  The closed form
-#: ignores constant per-message overheads (cuda launch, MPI header) and
-#: approximates the staged pipeline's ramp, so it is a ranking model,
-#: not a clock — 25% holds across all mechanism paths at these sizes.
+#: Relative tolerance for estimate vs simulation on the staged paths.
+#: Their closed form approximates the pipeline's ramp and chunk
+#: synchronization, so it is a ranking model, not a clock — 25% holds
+#: across the staged paths at these sizes.
 TOL = 0.25
 
 
@@ -53,6 +55,23 @@ def assert_close(simulated, estimate):
     assert abs(estimate - simulated) <= TOL * simulated, (
         f"estimate {estimate * 1e6:.1f}us vs simulated "
         f"{simulated * 1e6:.1f}us ({abs(estimate - simulated) / simulated:.1%} off)")
+
+
+class TestCutThroughEstimateIsExact:
+    """IPC and GDR are priced from the path's ``CutThrough`` — latency
+    sum, bottleneck bandwidth and ``extra`` — exactly as the hold is
+    simulated, so a lone transfer's estimate is its simulated time."""
+
+    @pytest.mark.parametrize("nbytes", [1 << 10, 64 << 10, 128 << 10,
+                                        16 << 20])
+    def test_intra_node_ipc(self, nbytes):
+        simulated, estimate = simulate_transfer(nbytes, 0, 1)
+        assert estimate == simulated
+
+    @pytest.mark.parametrize("nbytes", [1 << 10, 64 << 10, 128 << 10])
+    def test_inter_node_gdr(self, nbytes):
+        simulated, estimate = simulate_transfer(nbytes, 0, 16)
+        assert estimate == simulated
 
 
 class TestEstimateVsSimulation:

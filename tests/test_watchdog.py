@@ -1,8 +1,6 @@
 """Collective watchdog: stalls become typed outcomes or n-1 recovery,
 never hangs — and an unarmed watchdog is simulation-neutral."""
 
-import pytest
-
 from repro.core import TrainConfig, run_scaffe
 from repro.cuda import DeviceBuffer
 from repro.faults import FaultInjector, FaultPlan, StallLink, named_plan
@@ -52,9 +50,9 @@ class TestStallOutcomes:
         """A stall with an attributable rank: the watchdog converts the
         would-be deadlock into the standard dead-rank path; the sim
         drains (no hang) and the watchdog escalated exactly once."""
-        from repro.check.chaos import ChaosCase, run_chaos_case
-        r = run_chaos_case(ChaosCase("allreduce_ring", P=4, nbytes=4096,
-                                     kind="stall", seed=5))
+        from repro.check import Case, run_case
+        r = run_case(Case("allreduce_ring", P=4, nbytes=4096, seed=5,
+                          fault="stall"))
         assert r.outcome == "error"
         assert r.ok
         assert r.counters["watchdog_timeouts"] >= 1
